@@ -228,13 +228,25 @@ def test_kv_cached_path_matches_graph_forward():
             wrapper.B.data = fill.normal(size=wrapper.B.data.shape).astype(np.float32) * 0.1
     seq = seq_of(vocab, "turn on the", speech_len=3)
     speech = rand_speech(fill, 3, 32, as_tensor=False)
+    # record the logits the KV-cached path chooses from at every step
+    step_logits = []
+    head = dec._head
+
+    def recording_head(x):
+        logits = head(x)
+        step_logits.append(logits[-1])
+        return logits
+
+    dec._head = recording_head
     out = dec.generate_greedy(seq, speech, max_new=6)
+    assert len(step_logits) == len(out.ids) == 6
     # replay: graph forward over prompt + generated ids must yield the same
-    # greedy choices at every step
+    # logits (within float32 rounding) and the same greedy choice at every step
     ids = list(seq.ids) + out.ids
     replay = MultimodalSequence(np.asarray(ids, dtype=np.int64),
                                 splice_start=seq.splice_start, splice_len=seq.splice_len)
     logits = dec.forward(replay, ag.Tensor(speech)).data
-    for i, tok in enumerate(out.ids):
-        step_logits = logits[len(seq.ids) - 1 + i]
-        assert int(np.argmax(step_logits)) == tok
+    for i, (tok, cached) in enumerate(zip(out.ids, step_logits)):
+        graph = logits[len(seq.ids) - 1 + i]
+        np.testing.assert_allclose(cached, graph, rtol=1e-5, atol=1e-5)
+        assert int(np.argmax(graph)) == tok
