@@ -8,6 +8,7 @@ before analysis, so the frame count is exactly clip_seconds * 100.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -64,6 +65,16 @@ def mel_filter_centers(n_mels: int, sample_rate: int) -> np.ndarray:
     return mel_to_hz(mel_points)[1:-1]
 
 
+@functools.lru_cache(maxsize=8)
+def _analysis_tables(n_mels: int, win: int, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hann window [win] and float64 filterbank [win//2 + 1, n_mels], read-only."""
+    window = np.hanning(win)
+    fb_t = mel_filterbank(n_mels, win, sample_rate).T.astype(np.float64)
+    window.flags.writeable = False
+    fb_t.flags.writeable = False
+    return window, fb_t
+
+
 def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
             clip_seconds: float = 30.0) -> MelSpectrogram:
     """Log-mel spectrogram of a mono waveform, padded/truncated to the clip length."""
@@ -85,11 +96,10 @@ def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
     # frames are centered on t*hop: pad half a window on both sides
     half = win // 2
     padded = np.pad(wav, (half, win - half))
-    window = np.hanning(win)
+    window, fb_t = _analysis_tables(n_mels, win, sample_rate)
     frames = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop][:t_mel]
     spec = np.abs(np.fft.rfft(frames * window, n=win, axis=1)) ** 2
-    fb = mel_filterbank(n_mels, win, sample_rate)
-    mel = spec @ fb.T.astype(np.float64)
+    mel = spec @ fb_t
     logmel = np.log(np.maximum(mel, LOG_FLOOR)).T.astype(np.float32)
     return MelSpectrogram(frames=logmel, frame_rate=1.0 / HOP_SECONDS, n_mels=n_mels)
 

@@ -10,6 +10,11 @@ reach a trainable leaf are skipped entirely.
 Float32 is the working precision for models; the same ops run in
 float64 when handed float64 arrays (used by the finite-difference
 checks in the test suite).
+
+The `*_kernel` functions are the plain-array forms of layer norm, GELU,
+attention and the feed-forward block. The graph ops compute their
+forwards with them, and the frozen encoder and the KV-cached decoder
+call them directly, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ def _make_node(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -
 
 def _check_finite(op: str, arr: np.ndarray, allow_neginf: bool = False):
     if allow_neginf:
-        bad = np.isnan(arr).any() or (arr == np.inf).any()
+        # one pass: NaN and +inf both fail `< inf`, -inf passes
+        bad = not (arr < np.inf).all()
     else:
         # a single reduction: NaN and +-inf both poison the sum (values at
         # toy scale can never overflow a finite float sum)
@@ -102,6 +108,84 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# kernels: numpy in, numpy out, no checks, no graph
+# ---------------------------------------------------------------------------
+#
+# The graph ops' forwards and the inference paths must agree bit for bit
+# (training is chaotic enough that one ulp changes where it converges), so
+# the in-place forms below keep the exact operation order of the plain
+# expressions they replace.
+
+def _standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean) / sqrt(var + eps) over the last axis, and the 1/sqrt factor."""
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = np.square(xc).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xc *= inv
+    return xc, inv
+
+
+def layer_norm_kernel(x: np.ndarray, g: np.ndarray, b: np.ndarray,
+                      eps: float = 1e-5) -> np.ndarray:
+    out, _ = _standardize(x, eps)
+    out *= g
+    out += b
+    return out
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
+
+
+def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximated GELU of `x`, and the tanh term its gradient reuses."""
+    c = np.asarray(_GELU_C, dtype=x.dtype)
+    k = np.asarray(_GELU_K, dtype=x.dtype)
+    # x**3, not x*x*x: the two differ in the last bit on some elements
+    t = x**3
+    t *= k
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out, t
+
+
+def feed_forward_kernel(h: np.ndarray, w1: np.ndarray, b1: np.ndarray,
+                        w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """gelu(h @ w1 + b1) @ w2 + b2."""
+    u = h @ w1
+    u += b1
+    out = gelu_kernel(u)[0] @ w2
+    out += b2
+    return out
+
+
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                     mask: np.ndarray | None = None) -> np.ndarray:
+    """Scaled dot-product attention of q [Tq, d] over k, v [Tk, d].
+
+    `mask` is additive and broadcasts to [Tq, Tk] (-inf hides a key).
+    """
+    tq, d = q.shape
+    tk = k.shape[0]
+    dh = d // n_heads
+    qh = q.reshape(tq, n_heads, dh).transpose(1, 0, 2)
+    kh = k.reshape(tk, n_heads, dh).transpose(1, 2, 0)
+    vh = v.reshape(tk, n_heads, dh).transpose(1, 0, 2)
+    w = qh @ kh
+    w *= np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    if mask is not None:
+        w += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return (w @ vh).transpose(1, 0, 2).reshape(tq, d)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +299,11 @@ def gelu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     _check_finite("gelu", x.data)
     d = x.data
-    c = np.asarray(math.sqrt(2.0 / math.pi), dtype=d.dtype)
-    k = np.asarray(0.044715, dtype=d.dtype)
-    inner = c * (d + k * d**3)
-    t = np.tanh(inner)
-    out = 0.5 * d * (1.0 + t)
+    out, t = gelu_kernel(d)
 
     def vjp(g):
+        c = np.asarray(_GELU_C, dtype=d.dtype)
+        k = np.asarray(_GELU_K, dtype=d.dtype)
         dt = (1.0 - t**2) * c * (1.0 + 3.0 * k * d**2)
         return (g * (0.5 * (1.0 + t) + 0.5 * d * dt),)
 
@@ -251,10 +333,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             "layer_norm", f"x {x.data.shape}, gamma {gamma.data.shape}, beta {beta.data.shape}")
     _check_finite("layer_norm", x.data)
     d = x.data
-    mu = d.mean(axis=-1, keepdims=True)
-    var = d.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=d.dtype))
-    xhat = (d - mu) * inv
+    xhat, inv = _standardize(d, eps)
     out = xhat * gamma.data + beta.data
 
     def vjp(g):
@@ -352,9 +431,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
     """Additive mask: 0 on/below the diagonal, -inf strictly above."""
-    m = np.zeros((t, t), dtype=dtype)
-    m[np.triu_indices(t, k=1)] = -np.inf
-    return m
+    return np.triu(np.full((t, t), -np.inf, dtype=dtype), k=1)
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,

@@ -3,12 +3,12 @@
 Causal transformer over a token sequence whose speech-placeholder span
 is replaced by aligned speech embeddings. Base weights are frozen;
 LoRA adapters on the attention projections are the only trainable
-decoder state. Generation is greedy with a per-call KV cache.
+decoder state. Generation is greedy with a per-call KV cache whose
+buffers are allocated once, at the longest length the call can reach.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,7 +202,7 @@ class InstructionDecoder:
         x = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
         return ag.matmul(x, self.w_out)
 
-    # -- inference path (numpy, KV cache local to the call) ------------------
+    # -- inference path (numpy kernels, KV cache local to the call) ----------
 
     def _inference_weights(self):
         layers = []
@@ -248,8 +248,12 @@ class InstructionDecoder:
             stop_id = self.vocab.special_id("end_turn")
         weights = self._inference_weights()
         x = self._embed_ids(seq.ids, speech, seq.splice_start, seq.splice_len)
-        caches: list[dict] = [{} for _ in weights]
-        h = self._prefill(x, weights, caches)
+        # one row per prompt position and per generated token, capped at the
+        # position table
+        rows = min(self.cfg.max_positions, x.shape[0] + max_new)
+        caches = [(np.empty((rows, x.shape[1]), dtype=x.dtype),
+                   np.empty((rows, x.shape[1]), dtype=x.dtype)) for _ in weights]
+        h = self._extend(x, 0, weights, caches)
         logits = self._head(h[-1:])
         out_ids: list[int] = []
         truncated = False
@@ -263,73 +267,32 @@ class InstructionDecoder:
                 truncated = True
                 break
             step = self.tok_emb.data[nxt] + self.pe[pos]
-            logits = self._head(self._step(step[None, :], weights, caches))
+            logits = self._head(self._extend(step[None, :], pos, weights, caches))
             pos += 1
         return GenerationResult(ids=out_ids, text=self.vocab.detokenize(out_ids),
                                 truncated=truncated)
 
-    def _prefill(self, x: np.ndarray, weights, caches) -> np.ndarray:
-        t = x.shape[0]
-        mask = np.triu(np.full((t, t), -np.inf, dtype=np.float32), k=1)
-        for lw, cache in zip(weights, caches):
-            h = _ln_np(x, *lw["ln1"])
-            q, k, v = h @ lw["proj"]["q"], h @ lw["proj"]["k"], h @ lw["proj"]["v"]
-            cache["k"], cache["v"] = k, v
-            a = _attend(q, k, v, lw["n_heads"], mask)
+    def _extend(self, x: np.ndarray, start: int, weights, caches) -> np.ndarray:
+        """Run positions start..start+len(x) through every layer, writing their
+        keys and values into the cache rows of the same positions."""
+        stop = start + x.shape[0]
+        # a single new position may attend to every cached one
+        mask = ag.causal_mask(stop, dtype=x.dtype)[start:] if x.shape[0] > 1 else None
+        for lw, (k_buf, v_buf) in zip(weights, caches):
+            h = ag.layer_norm_kernel(x, *lw["ln1"])
+            k_buf[start:stop] = h @ lw["proj"]["k"]
+            v_buf[start:stop] = h @ lw["proj"]["v"]
+            a = ag.attention_kernel(h @ lw["proj"]["q"], k_buf[:stop], v_buf[:stop],
+                                    lw["n_heads"], mask)
             x = x + a @ lw["proj"]["o"]
-            x = x + _ffn_np(_ln_np(x, *lw["ln2"]), lw["ffn"])
-        return x
-
-    def _step(self, x: np.ndarray, weights, caches) -> np.ndarray:
-        for lw, cache in zip(weights, caches):
-            h = _ln_np(x, *lw["ln1"])
-            q, k, v = h @ lw["proj"]["q"], h @ lw["proj"]["k"], h @ lw["proj"]["v"]
-            cache["k"] = np.concatenate([cache["k"], k], axis=0)
-            cache["v"] = np.concatenate([cache["v"], v], axis=0)
-            a = _attend(q, cache["k"], cache["v"], lw["n_heads"], mask=None)
-            x = x + a @ lw["proj"]["o"]
-            x = x + _ffn_np(_ln_np(x, *lw["ln2"]), lw["ffn"])
+            x = x + ag.feed_forward_kernel(ag.layer_norm_kernel(x, *lw["ln2"]), *lw["ffn"])
         return x
 
     def _head(self, x: np.ndarray) -> np.ndarray:
-        return _ln_np(x, self.ln_f_g.data, self.ln_f_b.data) @ self.w_out.data
+        return ag.layer_norm_kernel(x, self.ln_f_g.data, self.ln_f_b.data) @ self.w_out.data
 
 
 def lora_parameter_count(n_layers: int, d_in: int, d_out: int, rank: int,
                          n_targets: int = 4) -> int:
     return n_layers * n_targets * rank * (d_in + d_out)
 
-
-def _ln_np(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + np.float32(eps)) * g + b
-
-
-def _gelu_np(x: np.ndarray) -> np.ndarray:
-    c = np.float32(math.sqrt(2.0 / math.pi))
-    k = np.float32(0.044715)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + k * x**3)))
-
-
-def _ffn_np(h: np.ndarray, ffn) -> np.ndarray:
-    w1, b1, w2, b2 = ffn
-    return _gelu_np(h @ w1 + b1) @ w2 + b2
-
-
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-            mask: np.ndarray | None) -> np.ndarray:
-    tq, d = q.shape
-    tk = k.shape[0]
-    dh = d // n_heads
-    qh = q.reshape(tq, n_heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(tk, n_heads, dh).transpose(1, 2, 0)
-    vh = v.reshape(tk, n_heads, dh).transpose(1, 0, 2)
-    scores = (qh @ kh) * np.float32(1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = scores + mask
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    attn = e / e.sum(axis=-1, keepdims=True)
-    ctx = attn @ vh
-    return ctx.transpose(1, 0, 2).reshape(tq, d)

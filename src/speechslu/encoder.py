@@ -2,6 +2,8 @@
 
 All parameters are created with trainable=False and stay that way; the
 optimizer never sees them and backward never allocates their gradients.
+Past the conv stem the encoder runs on plain arrays through the shared
+kernels in `autograd`, since nothing ever differentiates it.
 """
 
 from __future__ import annotations
@@ -16,36 +18,32 @@ from .initutil import normal_param, ones_param, sinusoid_table, zeros_param
 
 
 class TransformerBlock:
-    """Pre-norm block: self-attention then GELU feed-forward."""
+    """Frozen pre-norm block: self-attention then GELU feed-forward."""
 
-    def __init__(self, rng, d: int, n_heads: int, d_ff: int, prefix: str,
-                 trainable: bool = False, causal: bool = False):
+    def __init__(self, rng, d: int, n_heads: int, d_ff: int, prefix: str):
         self.n_heads = n_heads
-        self.causal = causal
-        t = trainable
-        self.ln1_g = ones_param((d,), t, f"{prefix}.ln1.g")
-        self.ln1_b = zeros_param((d,), t, f"{prefix}.ln1.b")
-        self.wq = normal_param(rng, (d, d), 0.02, t, f"{prefix}.wq")
-        self.wk = normal_param(rng, (d, d), 0.02, t, f"{prefix}.wk")
-        self.wv = normal_param(rng, (d, d), 0.02, t, f"{prefix}.wv")
-        self.wo = normal_param(rng, (d, d), 0.02, t, f"{prefix}.wo")
-        self.ln2_g = ones_param((d,), t, f"{prefix}.ln2.g")
-        self.ln2_b = zeros_param((d,), t, f"{prefix}.ln2.b")
-        self.w1 = normal_param(rng, (d, d_ff), 0.02, t, f"{prefix}.ffn.w1")
-        self.b1 = zeros_param((d_ff,), t, f"{prefix}.ffn.b1")
-        self.w2 = normal_param(rng, (d_ff, d), 0.02, t, f"{prefix}.ffn.w2")
-        self.b2 = zeros_param((d,), t, f"{prefix}.ffn.b2")
+        self.ln1_g = ones_param((d,), False, f"{prefix}.ln1.g")
+        self.ln1_b = zeros_param((d,), False, f"{prefix}.ln1.b")
+        self.wq = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wq")
+        self.wk = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wk")
+        self.wv = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wv")
+        self.wo = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wo")
+        self.ln2_g = ones_param((d,), False, f"{prefix}.ln2.g")
+        self.ln2_b = zeros_param((d,), False, f"{prefix}.ln2.b")
+        self.w1 = normal_param(rng, (d, d_ff), 0.02, False, f"{prefix}.ffn.w1")
+        self.b1 = zeros_param((d_ff,), False, f"{prefix}.ffn.b1")
+        self.w2 = normal_param(rng, (d_ff, d), 0.02, False, f"{prefix}.ffn.w2")
+        self.b2 = zeros_param((d,), False, f"{prefix}.ffn.b2")
 
-    def __call__(self, x: ag.Tensor) -> ag.Tensor:
-        h = ag.layer_norm(x, self.ln1_g, self.ln1_b)
-        q = ag.matmul(h, self.wq)
-        k = ag.matmul(h, self.wk)
-        v = ag.matmul(h, self.wv)
-        a = ag.multihead_attention(q, k, v, self.n_heads, causal=self.causal)
-        x = ag.add(x, ag.matmul(a, self.wo))
-        h = ag.layer_norm(x, self.ln2_g, self.ln2_b)
-        f = ag.linear(ag.gelu(ag.linear(h, self.w1, self.b1)), self.w2, self.b2)
-        return ag.add(x, f)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """[T, d] -> [T, d]; bit-identical to the same block built from graph ops."""
+        h = ag.layer_norm_kernel(x, self.ln1_g.data, self.ln1_b.data)
+        a = ag.attention_kernel(h @ self.wq.data, h @ self.wk.data, h @ self.wv.data,
+                                self.n_heads)
+        x = x + a @ self.wo.data
+        h = ag.layer_norm_kernel(x, self.ln2_g.data, self.ln2_b.data)
+        return x + ag.feed_forward_kernel(h, self.w1.data, self.b1.data,
+                                          self.w2.data, self.b2.data)
 
     def parameters(self):
         return [self.ln1_g, self.ln1_b, self.wq, self.wk, self.wv, self.wo,
@@ -83,14 +81,13 @@ class SpeechEncoder:
         x = ag.Tensor(frames.astype(np.float32))
         h = ag.gelu(ag.conv1d(x, self.conv1_w, self.conv1_b, stride=self.stride1, padding=1))
         h = ag.gelu(ag.conv1d(h, self.conv2_w, self.conv2_b, stride=self.stride2, padding=1))
-        h = ag.transpose(h, (1, 0))  # -> [T_enc, d]
-        t_enc = h.data.shape[0]
+        t_enc = h.data.shape[1]
         if self._pe_cache is None or self._pe_cache.shape[0] < t_enc:
             self._pe_cache = sinusoid_table(max(t_enc, 1500), self.cfg.d_enc)
-        h = ag.add(h, self._pe_cache[:t_enc])
+        x = h.data.T + self._pe_cache[:t_enc]  # -> [T_enc, d]
         for block in self.blocks:
-            h = block(h)
-        return ag.layer_norm(h, self.ln_f_g, self.ln_f_b)
+            x = block(x)
+        return ag.Tensor(ag.layer_norm_kernel(x, self.ln_f_g.data, self.ln_f_b.data))
 
     def named_parameters(self) -> dict[str, ag.Tensor]:
         out = {p.name: p for p in (self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b)}

@@ -1,5 +1,7 @@
 """Substrate tests: primitive contracts and finite-difference gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,8 +113,13 @@ def test_non_finite_input_rejected():
         ag.gelu(bad)
     with pytest.raises(NonFiniteInput, match="softmax"):
         ag.softmax(ag.Tensor(np.array([np.inf, 1.0])))
+    with pytest.raises(NonFiniteInput, match="softmax"):
+        ag.softmax(bad)
+    with pytest.raises(NonFiniteInput, match="add"):
+        ag.add(ag.Tensor(np.array([1.0, np.inf])), 1.0)
     # additive -inf masks are the documented masking mechanism
     ag.softmax(ag.Tensor(np.array([-np.inf, 1.0])))
+    ag.add(ag.Tensor(np.array([-np.inf, 1.0])), 1.0)
 
 
 def test_embedding_lookup_gathers_rows(rng):
@@ -281,6 +288,45 @@ def test_gradcheck_slice_concat(rng):
         return ag.tsum(ag.mul(joined, joined))
 
     assert_gradcheck(f, [x, y])
+
+
+# ---------------------------------------------------------------------------
+# kernels: the in-place forms must keep the bits of the plain expressions
+# ---------------------------------------------------------------------------
+
+def test_layer_norm_kernel_matches_mean_var_form_bitwise():
+    rng = np.random.default_rng(31)
+    for i in range(300):
+        dtype = np.float32 if i % 3 else np.float64
+        shape = tuple(int(n) for n in rng.integers(1, 70, size=int(rng.integers(1, 4))))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        x = ((rng.normal(size=shape) + rng.normal(size=shape[:-1] + (1,))) * scale).astype(dtype)
+        g = rng.normal(size=shape[-1:]).astype(dtype)
+        b = rng.normal(size=shape[-1:]).astype(dtype)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        ref = (x - mu) * (1.0 / np.sqrt(var + np.asarray(1e-5, dtype=dtype))) * g + b
+        assert ag.layer_norm_kernel(x, g, b).tobytes() == ref.tobytes()
+
+
+def test_gelu_kernel_matches_plain_formula_bitwise(rng):
+    x = (rng.normal(size=(37, 53)) * 4).astype(np.float32)
+    c = np.float32(math.sqrt(2.0 / math.pi))
+    k = np.float32(0.044715)
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + k * x**3)))
+    out, _ = ag.gelu_kernel(x)
+    assert out.tobytes() == ref.tobytes()
+    assert ag.gelu(ag.Tensor(x)).data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_kernel_matches_graph_attention_bitwise(rng, causal):
+    t, d, heads = 29, 24, 3
+    q, k, v = (rng.normal(size=(t, d)).astype(np.float32) for _ in range(3))
+    ref = ag.multihead_attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), heads,
+                                 causal=causal).data
+    mask = ag.causal_mask(t) if causal else None
+    assert ag.attention_kernel(q, k, v, heads, mask).tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from speechslu.audio import (LOG_FLOOR, MelSpectrogram, load_mel, log_mel,
                              save_mel, synthesize_mel)
 from speechslu.config import EncoderConfig
 from speechslu.encoder import SpeechEncoder
-from speechslu.errors import ShapeMismatch
-from speechslu.initutil import param_hash
+from speechslu.errors import NonFiniteInput, ShapeMismatch
+from speechslu.initutil import param_hash, sinusoid_table
 
 SR = 16000
 
@@ -140,6 +140,39 @@ def test_encode_rejects_wrong_bin_count(encoder):
     with pytest.raises(ShapeMismatch, match="mel bins"):
         encoder.encode(MelSpectrogram(frames=np.zeros((40, 100), dtype=np.float32),
                                       n_mels=40))
+
+
+def _graph_encode(encoder, mel):
+    """The encoder composed from graph ops: the reference its kernels must match."""
+    h = ag.gelu(ag.conv1d(ag.Tensor(mel.frames), encoder.conv1_w, encoder.conv1_b,
+                          stride=encoder.stride1, padding=1))
+    h = ag.gelu(ag.conv1d(h, encoder.conv2_w, encoder.conv2_b,
+                          stride=encoder.stride2, padding=1))
+    h = ag.transpose(h, (1, 0))
+    h = ag.add(h, sinusoid_table(h.shape[0], h.shape[1]))
+    for blk in encoder.blocks:
+        a = ag.layer_norm(h, blk.ln1_g, blk.ln1_b)
+        a = ag.multihead_attention(ag.matmul(a, blk.wq), ag.matmul(a, blk.wk),
+                                   ag.matmul(a, blk.wv), blk.n_heads)
+        h = ag.add(h, ag.matmul(a, blk.wo))
+        f = ag.layer_norm(h, blk.ln2_g, blk.ln2_b)
+        f = ag.linear(ag.gelu(ag.linear(f, blk.w1, blk.b1)), blk.w2, blk.b2)
+        h = ag.add(h, f)
+    return ag.layer_norm(h, encoder.ln_f_g, encoder.ln_f_b).data
+
+
+@pytest.mark.parametrize("t_mel", [3000, 101])
+def test_encode_matches_graph_composition_bitwise(encoder, t_mel):
+    frames = np.random.default_rng(t_mel).normal(size=(80, t_mel)) * 3.0
+    mel = MelSpectrogram(frames=frames.astype(np.float32))
+    assert encoder.encode(mel).data.tobytes() == _graph_encode(encoder, mel).tobytes()
+
+
+def test_encode_rejects_non_finite_mel(encoder):
+    frames = np.zeros((80, 40), dtype=np.float32)
+    frames[3, 7] = np.nan
+    with pytest.raises(NonFiniteInput, match="conv1d"):
+        encoder.encode(MelSpectrogram(frames=frames))
 
 
 def test_encoder_is_not_constant(encoder):
