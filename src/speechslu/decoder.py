@@ -244,6 +244,9 @@ class InstructionDecoder:
         """
         if max_new < 1:
             raise ValueError("max_new must be >= 1")
+        if len(seq.ids) > self.cfg.max_positions:
+            raise ShapeMismatch("decoder.generate",
+                                f"prompt length {len(seq.ids)} > max {self.cfg.max_positions}")
         if stop_id is None:
             stop_id = self.vocab.special_id("end_turn")
         weights = self._inference_weights()

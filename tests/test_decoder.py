@@ -212,6 +212,18 @@ def test_generation_truncation_flagged():
     assert len(out.ids) == 5 and out.truncated
 
 
+def test_generation_rejects_prompt_beyond_position_table():
+    vocab = build_vocabulary(["hello world"])
+    cfg = DecoderConfig(d_model=16, n_layers=1, n_heads=2, d_ff=32, max_positions=8)
+    dec = InstructionDecoder(cfg, vocab, np.random.default_rng(0))
+    ids = np.full(9, vocab.word_offset, dtype=np.int64)
+    with pytest.raises(ShapeMismatch, match="prompt length 9 > max 8"):
+        dec.generate_greedy(MultimodalSequence(ids), None, max_new=4)
+    # a prompt that fills the table still yields one (truncated) token
+    out = dec.generate_greedy(MultimodalSequence(ids[:8]), None, max_new=4)
+    assert len(out.ids) == 1 and out.truncated
+
+
 def test_greedy_ties_break_to_lowest_id():
     dec, vocab = make_decoder(seed=22)
     dec.w_out.data[:, :] = 0.0  # all logits identical -> argmax picks id 0
