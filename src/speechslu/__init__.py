@@ -9,11 +9,11 @@ dataset builders, and the full evaluation metric suite.
 
 from .aligner import ModalityAligner
 from .audio import MelSpectrogram, log_mel, synthesize_mel
-from .autograd import Tensor, backward, forward_primitive
+from .autograd import Tensor, backward
 from .config import RunConfig, config_hash, load_config
 from .decoder import InstructionDecoder, MultimodalSequence
 from .encoder import SpeechEncoder
-from .model import SluModel, build_model, load_model
+from .model import SluModel, load_model
 from .optim import AdamWState, adamw_step
 from .orchestrator import SluResult, TaskSpec, infer
 from .tokenizer import Vocabulary, build_vocabulary
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamWState", "InstructionDecoder", "MelSpectrogram", "ModalityAligner",
     "MultimodalSequence", "RunConfig", "SluModel", "SluResult", "SpeechEncoder",
-    "TaskSpec", "Tensor", "Vocabulary", "adamw_step", "backward", "build_model",
-    "build_vocabulary", "config_hash", "forward_primitive", "infer", "load_config",
-    "load_model", "log_mel", "synthesize_mel",
+    "TaskSpec", "Tensor", "Vocabulary", "adamw_step", "backward", "build_vocabulary",
+    "config_hash", "infer", "load_config", "load_model", "log_mel", "synthesize_mel",
 ]

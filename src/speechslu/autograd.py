@@ -500,32 +500,6 @@ def cross_entropy(logits: Tensor, targets, ignore_mask=None,
     return node
 
 
-_PRIMITIVES = {
-    "conv1d": lambda inputs, attrs: conv1d(inputs[0], inputs[1],
-                                           inputs[2] if len(inputs) > 2 else None,
-                                           stride=attrs.get("stride", 1),
-                                           padding=attrs.get("padding", 0)),
-    "linear": lambda inputs, attrs: linear(*inputs),
-    "layer_norm": lambda inputs, attrs: layer_norm(*inputs, eps=attrs.get("eps", 1e-5)),
-    "gelu": lambda inputs, attrs: gelu(inputs[0]),
-    "softmax": lambda inputs, attrs: softmax(inputs[0], axis=attrs.get("axis", -1)),
-    "embedding_lookup": lambda inputs, attrs: embedding_lookup(inputs[0], attrs["ids"]),
-    "multihead_attention": lambda inputs, attrs: multihead_attention(
-        inputs[0], inputs[1], inputs[2], n_heads=attrs["n_heads"],
-        causal=attrs.get("causal", False)),
-    "cross_entropy": lambda inputs, attrs: cross_entropy(
-        inputs[0], attrs["targets"], attrs.get("ignore_mask"),
-        attrs.get("reduction", "mean")),
-}
-
-
-def forward_primitive(kind: str, inputs, attrs: dict | None = None) -> Tensor:
-    """Uniform dispatch over the substrate's layer primitives."""
-    if kind not in _PRIMITIVES:
-        raise KeyError(f"unknown primitive {kind!r}")
-    return _PRIMITIVES[kind](list(inputs), attrs or {})
-
-
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autograd as ag
 from .config import DecoderConfig, LoraConfig
+from .encoder import TransformerBlock
 from .errors import ShapeMismatch
 from .initutil import normal_param, ones_param, sinusoid_table, zeros_param
 from .tokenizer import Vocabulary
@@ -60,8 +61,6 @@ class LoraLinear:
                  rng: np.random.Generator, name: str):
         d_in, d_out = base.data.shape
         self.base = base
-        self.rank = rank
-        self.alpha = alpha
         self.scale = alpha / rank
         self.A = normal_param(rng, (rank, d_in), 0.02, True, f"{name}.A")
         self.B = zeros_param((d_out, rank), True, f"{name}.B")
@@ -79,44 +78,6 @@ class LoraLinear:
         return [self.A, self.B]
 
 
-class _DecoderLayer:
-    def __init__(self, rng, d: int, n_heads: int, d_ff: int, prefix: str):
-        self.n_heads = n_heads
-        self.ln1_g = ones_param((d,), False, f"{prefix}.ln1.g")
-        self.ln1_b = zeros_param((d,), False, f"{prefix}.ln1.b")
-        self.proj = {
-            name: normal_param(rng, (d, d), 0.02, False, f"{prefix}.w{name}")
-            for name in ("q", "k", "v", "o")
-        }
-        self.lora: dict[str, LoraLinear] = {}
-        self.ln2_g = ones_param((d,), False, f"{prefix}.ln2.g")
-        self.ln2_b = zeros_param((d,), False, f"{prefix}.ln2.b")
-        self.w1 = normal_param(rng, (d, d_ff), 0.02, False, f"{prefix}.ffn.w1")
-        self.b1 = zeros_param((d_ff,), False, f"{prefix}.ffn.b1")
-        self.w2 = normal_param(rng, (d_ff, d), 0.02, False, f"{prefix}.ffn.w2")
-        self.b2 = zeros_param((d,), False, f"{prefix}.ffn.b2")
-
-    def project(self, name: str, x: ag.Tensor) -> ag.Tensor:
-        if name in self.lora:
-            return self.lora[name](x)
-        return ag.matmul(x, self.proj[name])
-
-    def __call__(self, x: ag.Tensor) -> ag.Tensor:
-        h = ag.layer_norm(x, self.ln1_g, self.ln1_b)
-        q = self.project("q", h)
-        k = self.project("k", h)
-        v = self.project("v", h)
-        a = ag.multihead_attention(q, k, v, self.n_heads, causal=True)
-        x = ag.add(x, self.project("o", a))
-        h = ag.layer_norm(x, self.ln2_g, self.ln2_b)
-        f = ag.linear(ag.gelu(ag.linear(h, self.w1, self.b1)), self.w2, self.b2)
-        return ag.add(x, f)
-
-    def base_parameters(self):
-        return [self.ln1_g, self.ln1_b, *self.proj.values(), self.ln2_g, self.ln2_b,
-                self.w1, self.b1, self.w2, self.b2]
-
-
 @dataclass
 class GenerationResult:
     ids: list[int]
@@ -131,7 +92,7 @@ class InstructionDecoder:
         d = cfg.d_model
         self.tok_emb = normal_param(rng, (vocab.size, d), 0.02, False, "decoder.tok_emb")
         self.layers = [
-            _DecoderLayer(rng, d, cfg.n_heads, cfg.d_ff, f"decoder.layers.{i}")
+            TransformerBlock(rng, d, cfg.n_heads, cfg.d_ff, f"decoder.layers.{i}")
             for i in range(cfg.n_layers)
         ]
         self.ln_f_g = ones_param((d,), False, "decoder.ln_f.g")
@@ -164,7 +125,7 @@ class InstructionDecoder:
     def base_parameters(self) -> dict[str, ag.Tensor]:
         out = {self.tok_emb.name: self.tok_emb}
         for layer in self.layers:
-            out.update({p.name: p for p in layer.base_parameters()})
+            out.update({p.name: p for p in layer.parameters()})
         for p in (self.ln_f_g, self.ln_f_b, self.w_out):
             out[p.name] = p
         return out
@@ -198,29 +159,11 @@ class InstructionDecoder:
             raise ShapeMismatch("decoder.forward", "speech given but sequence has no splice")
         x = ag.add(emb, self.pe[:t])
         for layer in self.layers:
-            x = layer(x)
+            x = layer.causal_forward(x)
         x = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
         return ag.matmul(x, self.w_out)
 
     # -- inference path (numpy kernels, KV cache local to the call) ----------
-
-    def _inference_weights(self):
-        layers = []
-        for layer in self.layers:
-            eff = {}
-            for name in ("q", "k", "v", "o"):
-                if name in layer.lora:
-                    eff[name] = layer.lora[name].effective_weight()
-                else:
-                    eff[name] = layer.proj[name].data
-            layers.append({
-                "ln1": (layer.ln1_g.data, layer.ln1_b.data),
-                "ln2": (layer.ln2_g.data, layer.ln2_b.data),
-                "proj": eff,
-                "ffn": (layer.w1.data, layer.b1.data, layer.w2.data, layer.b2.data),
-                "n_heads": layer.n_heads,
-            })
-        return layers
 
     def _embed_ids(self, ids: np.ndarray, speech: np.ndarray | None,
                    splice_start: int | None, splice_len: int) -> np.ndarray:
@@ -249,13 +192,13 @@ class InstructionDecoder:
                                 f"prompt length {len(seq.ids)} > max {self.cfg.max_positions}")
         if stop_id is None:
             stop_id = self.vocab.special_id("end_turn")
-        weights = self._inference_weights()
+        weights = [layer.weights() for layer in self.layers]
         x = self._embed_ids(seq.ids, speech, seq.splice_start, seq.splice_len)
         # one row per prompt position and per generated token, capped at the
         # position table
         rows = min(self.cfg.max_positions, x.shape[0] + max_new)
         caches = [(np.empty((rows, x.shape[1]), dtype=x.dtype),
-                   np.empty((rows, x.shape[1]), dtype=x.dtype)) for _ in weights]
+                   np.empty((rows, x.shape[1]), dtype=x.dtype)) for _ in self.layers]
         h = self._extend(x, 0, weights, caches)
         logits = self._head(h[-1:])
         out_ids: list[int] = []
@@ -278,17 +221,11 @@ class InstructionDecoder:
     def _extend(self, x: np.ndarray, start: int, weights, caches) -> np.ndarray:
         """Run positions start..start+len(x) through every layer, writing their
         keys and values into the cache rows of the same positions."""
-        stop = start + x.shape[0]
         # a single new position may attend to every cached one
-        mask = ag.causal_mask(stop, dtype=x.dtype)[start:] if x.shape[0] > 1 else None
-        for lw, (k_buf, v_buf) in zip(weights, caches):
-            h = ag.layer_norm_kernel(x, *lw["ln1"])
-            k_buf[start:stop] = h @ lw["proj"]["k"]
-            v_buf[start:stop] = h @ lw["proj"]["v"]
-            a = ag.attention_kernel(h @ lw["proj"]["q"], k_buf[:stop], v_buf[:stop],
-                                    lw["n_heads"], mask)
-            x = x + a @ lw["proj"]["o"]
-            x = x + ag.feed_forward_kernel(ag.layer_norm_kernel(x, *lw["ln2"]), *lw["ffn"])
+        mask = (ag.causal_mask(start + x.shape[0], dtype=x.dtype)[start:]
+                if x.shape[0] > 1 else None)
+        for layer, w, cache in zip(self.layers, weights, caches):
+            x = layer.run(x, w, cache, start, mask)
         return x
 
     def _head(self, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Frozen speech encoder: conv downsampling (net factor 2) + transformer blocks.
 
+The transformer block defined here is also the decoder's layer.
+
 All parameters are created with trainable=False and stay that way; the
 optimizer never sees them and backward never allocates their gradients.
 Past the conv stem the encoder runs on plain arrays through the shared
@@ -18,16 +20,24 @@ from .initutil import normal_param, ones_param, sinusoid_table, zeros_param
 
 
 class TransformerBlock:
-    """Frozen pre-norm block: self-attention then GELU feed-forward."""
+    """Pre-norm block: self-attention then GELU feed-forward.
+
+    One class serves the frozen encoder and the decoder. `__call__` is the
+    encoder's entry; the decoder runs `run` on its KV cache at inference
+    and `causal_forward` on the graph in training. Its base weights are
+    frozen; `lora` maps a projection name to the adapter that
+    `InstructionDecoder.inject_lora` wraps around it.
+    """
 
     def __init__(self, rng, d: int, n_heads: int, d_ff: int, prefix: str):
         self.n_heads = n_heads
         self.ln1_g = ones_param((d,), False, f"{prefix}.ln1.g")
         self.ln1_b = zeros_param((d,), False, f"{prefix}.ln1.b")
-        self.wq = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wq")
-        self.wk = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wk")
-        self.wv = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wv")
-        self.wo = normal_param(rng, (d, d), 0.02, False, f"{prefix}.wo")
+        self.proj = {
+            name: normal_param(rng, (d, d), 0.02, False, f"{prefix}.w{name}")
+            for name in ("q", "k", "v", "o")
+        }
+        self.lora: dict = {}
         self.ln2_g = ones_param((d,), False, f"{prefix}.ln2.g")
         self.ln2_b = zeros_param((d,), False, f"{prefix}.ln2.b")
         self.w1 = normal_param(rng, (d, d_ff), 0.02, False, f"{prefix}.ffn.w1")
@@ -35,19 +45,52 @@ class TransformerBlock:
         self.w2 = normal_param(rng, (d_ff, d), 0.02, False, f"{prefix}.ffn.w2")
         self.b2 = zeros_param((d,), False, f"{prefix}.ffn.b2")
 
+    def parameters(self):
+        return [self.ln1_g, self.ln1_b, *self.proj.values(), self.ln2_g, self.ln2_b,
+                self.w1, self.b1, self.w2, self.b2]
+
+    def weights(self) -> dict[str, np.ndarray]:
+        """Effective q/k/v/o projection arrays, LoRA updates folded in."""
+        return {name: self.lora[name].effective_weight() if name in self.lora else p.data
+                for name, p in self.proj.items()}
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """[T, d] -> [T, d]; bit-identical to the same block built from graph ops."""
+        return self.run(x, self.weights())
+
+    def run(self, x: np.ndarray, w: dict[str, np.ndarray], cache=None, start: int = 0,
+            mask: np.ndarray | None = None) -> np.ndarray:
+        """Array forward under projection weights `w`. With a `(k_buf, v_buf)`
+        cache, x holds positions start..start+len(x): their keys and values
+        are written into those buffer rows and x attends to every row so far."""
         h = ag.layer_norm_kernel(x, self.ln1_g.data, self.ln1_b.data)
-        a = ag.attention_kernel(h @ self.wq.data, h @ self.wk.data, h @ self.wv.data,
-                                self.n_heads)
-        x = x + a @ self.wo.data
+        k, v = h @ w["k"], h @ w["v"]
+        if cache is not None:
+            stop = start + x.shape[0]
+            k_buf, v_buf = cache
+            k_buf[start:stop], v_buf[start:stop] = k, v
+            k, v = k_buf[:stop], v_buf[:stop]
+        x = x + ag.attention_kernel(h @ w["q"], k, v, self.n_heads, mask) @ w["o"]
         h = ag.layer_norm_kernel(x, self.ln2_g.data, self.ln2_b.data)
         return x + ag.feed_forward_kernel(h, self.w1.data, self.b1.data,
                                           self.w2.data, self.b2.data)
 
-    def parameters(self):
-        return [self.ln1_g, self.ln1_b, self.wq, self.wk, self.wv, self.wo,
-                self.ln2_g, self.ln2_b, self.w1, self.b1, self.w2, self.b2]
+    def project(self, name: str, x: ag.Tensor) -> ag.Tensor:
+        if name in self.lora:
+            return self.lora[name](x)
+        return ag.matmul(x, self.proj[name])
+
+    def causal_forward(self, x: ag.Tensor) -> ag.Tensor:
+        """Graph forward under a causal mask (decoder training)."""
+        h = ag.layer_norm(x, self.ln1_g, self.ln1_b)
+        q = self.project("q", h)
+        k = self.project("k", h)
+        v = self.project("v", h)
+        a = ag.multihead_attention(q, k, v, self.n_heads, causal=True)
+        x = ag.add(x, self.project("o", a))
+        h = ag.layer_norm(x, self.ln2_g, self.ln2_b)
+        f = ag.linear(ag.gelu(ag.linear(h, self.w1, self.b1)), self.w2, self.b2)
+        return ag.add(x, f)
 
 
 class SpeechEncoder:

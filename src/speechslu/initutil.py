@@ -45,7 +45,3 @@ def param_hash(tensors) -> str:
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
-
-def conv_out_len(t: int, kernel: int, stride: int, padding: int) -> int:
-    return (t + 2 * padding - kernel) // stride + 1
-

@@ -12,7 +12,7 @@ from .aligner import ModalityAligner
 from .audio import MelSpectrogram, resolve_audio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
-from .decoder import InstructionDecoder, MultimodalSequence
+from .decoder import InstructionDecoder, MultimodalSequence, expand_splice
 from .encoder import SpeechEncoder
 from .errors import ShapeMismatch
 from .prompts import DialogueTurn, PromptBank, render_chat
@@ -83,7 +83,8 @@ class SluModel:
         if rendered.splice_index is not None:
             if speech is None:
                 raise ShapeMismatch("generate", "dialogue has a splice but no speech given")
-            seq = _expand(rendered, speech.shape[0], self.vocab)
+            seq = expand_splice(rendered.ids, rendered.splice_index, speech.shape[0],
+                                self.vocab.special_id("speech_placeholder"))
         else:
             seq = MultimodalSequence(np.asarray(rendered.ids, dtype=np.int64))
             speech = None
@@ -113,17 +114,6 @@ class SluModel:
                         "load_weights", f"{name}: {params[name].shape} vs {tensor.data.shape}")
                 tensor.data = params[name].astype(np.float32).copy()
         self._enc_cache.clear()
-
-
-def _expand(rendered, speech_len: int, vocab: Vocabulary) -> MultimodalSequence:
-    from .decoder import expand_splice
-
-    return expand_splice(rendered.ids, rendered.splice_index, speech_len,
-                         vocab.special_id("speech_placeholder"))
-
-
-def build_model(cfg: RunConfig, vocab: Vocabulary) -> SluModel:
-    return SluModel(cfg, vocab)
 
 
 def load_model(run_dir, cfg: RunConfig | None = None) -> SluModel:

@@ -15,6 +15,8 @@ from .prompts import (DialogueTurn, build_mr_history, build_scot,
                       build_task_prompt, sample_candidate_labels)
 
 STRATEGIES = ("alone", "scot", "mr")
+# tasks whose answer gets the long generation budget
+LONG_OUTPUT_TASKS = ("SF", "SQA", "SQIT", "SIT")
 
 
 @dataclass
@@ -151,8 +153,13 @@ def parse_scot_response(text: str, delimiter: str = "---") -> tuple[str | None, 
 # strategy execution
 # ---------------------------------------------------------------------------
 
-def _slu_prompt(spec: TaskSpec, model, rng) -> str:
-    """The task-specific instruction for the second stage of a strategy."""
+def task_instruction(spec: TaskSpec, model, rng) -> str:
+    """The task-specific instruction, for inference and for training alike.
+
+    IC/SF candidates always hold the gold label(s) when one is known;
+    without one (an SF record with no entities, or a spec built without a
+    gold label) the full inventory is listed, shuffled.
+    """
     if spec.prompt_text is not None:
         return spec.prompt_text
     if spec.task in ("IC", "SF"):
@@ -169,51 +176,43 @@ def _slu_prompt(spec: TaskSpec, model, rng) -> str:
 
 def infer(audio_ref: str, spec: TaskSpec, model, rng: np.random.Generator,
           base_dir=None) -> SluResult:
-    """Run one example through the configured inference strategy."""
+    """Run one example through the configured inference strategy.
+
+    `alone` draws the task instruction only; `scot` and `mr` draw the ASR
+    prompt, then the task instruction (after `mr`'s round-1 transcription,
+    which draws nothing).
+    """
     speech = model.embed_audio_ref(audio_ref, base_dir=base_dir)
     result = SluResult(task=spec.task, strategy=spec.strategy)
     delim = model.prompt_cfg.scot_delimiter
-    long_gen = model.infer_cfg.max_new_long
-    short_gen = model.infer_cfg.max_new_short
-
+    icfg = model.infer_cfg
+    max_new = icfg.max_new_long if spec.task in LONG_OUTPUT_TASKS else icfg.max_new_short
     if spec.strategy == "alone":
-        prompt = _slu_prompt(spec, model, rng)
-        turns = [DialogueTurn("user", prompt, speech=True)]
-        max_new = long_gen if spec.task in ("SF", "SQA", "SQIT", "SIT") else short_gen
-        text, truncated, rendered = model.generate(turns, speech, max_new)
-        result.raw_text = text
-        result.truncated = truncated
-        result.n_generations = 1
-        result.round_prompts = [rendered]
-        if spec.task == "ASR":
-            result.transcript = text.strip()
-    elif spec.strategy == "scot":
+        turns = [DialogueTurn("user", task_instruction(spec, model, rng), speech=True)]
+    else:
         asr_prompt = build_task_prompt("ASR", [], model.bank, rng)
-        slu_prompt = _slu_prompt(spec, model, rng)
-        user = build_scot(asr_prompt, slu_prompt, delim)
-        turns = [DialogueTurn("user", user, speech=True)]
-        text, truncated, rendered = model.generate(turns, speech, long_gen)
-        result.raw_text = text
-        result.truncated = truncated
-        result.n_generations = 1
-        result.round_prompts = [rendered]
-        transcript, answer = parse_scot_response(text, delim)
-        result.transcript = transcript
-        text = answer
-    else:  # mr
-        asr_prompt = build_task_prompt("ASR", [], model.bank, rng)
-        round1 = [DialogueTurn("user", asr_prompt, speech=True)]
-        transcript, trunc1, rendered1 = model.generate(round1, speech, short_gen)
-        transcript = transcript.strip()
-        slu_prompt = _slu_prompt(spec, model, rng)
-        history = build_mr_history(transcript, slu_prompt, asr_prompt)
-        max_new = long_gen if spec.task in ("SF", "SQA", "SQIT", "SIT") else short_gen
-        text, trunc2, rendered2 = model.generate(history, speech, max_new)
-        result.raw_text = text
-        result.transcript = transcript
-        result.truncated = trunc1 or trunc2
-        result.n_generations = 2
-        result.round_prompts = [rendered1, rendered2]
+        if spec.strategy == "scot":
+            user = build_scot(asr_prompt, task_instruction(spec, model, rng), delim)
+            turns = [DialogueTurn("user", user, speech=True)]
+            max_new = icfg.max_new_long
+        else:  # mr: round 1 transcribes, round 2 answers from the transcript
+            round1 = [DialogueTurn("user", asr_prompt, speech=True)]
+            transcript, result.truncated, rendered = model.generate(
+                round1, speech, icfg.max_new_short)
+            result.transcript = transcript.strip()
+            result.round_prompts.append(rendered)
+            turns = build_mr_history(result.transcript, task_instruction(spec, model, rng),
+                                     asr_prompt)
+
+    text, truncated, rendered = model.generate(turns, speech, max_new)
+    result.raw_text = text
+    result.truncated = result.truncated or truncated
+    result.round_prompts.append(rendered)
+    result.n_generations = len(result.round_prompts)
+    if spec.strategy == "scot":
+        result.transcript, text = parse_scot_response(text, delim)
+    elif spec.strategy == "alone" and spec.task == "ASR":
+        result.transcript = text.strip()
 
     parsed = parse_slu_output(text, spec.task,
                               labels=spec.labels, binary_labels=spec.binary_labels)

@@ -17,10 +17,9 @@ from .decoder import MultimodalSequence, expand_splice
 from .errors import MissingAnnotation, NonFiniteInput, TrainingDiverged
 from .model import SluModel
 from .optim import AdamWState, adamw_step, clip_global_norm
-from .orchestrator import collect_inventories
-from .prompts import (DialogueTurn, build_mr_history, build_scot,
-                      build_task_prompt, render_chat, sample_candidate_labels,
-                      scot_target)
+from .orchestrator import collect_inventories, spec_for_record, task_instruction
+from .prompts import (DialogueTurn, build_mr_history, build_scot, build_task_prompt,
+                      render_chat, scot_target)
 
 PLAIN = "plain"
 STRATEGY_CONFIGS = ("alone", "scot", "mr")
@@ -61,29 +60,6 @@ def gold_answer(record: ManifestRecord) -> str:
     raise MissingAnnotation(f"no supervised target for task {record.task}")
 
 
-def _slu_prompt_for_training(record: ManifestRecord, model: SluModel,
-                             inventories: dict, rng) -> str:
-    ann = record.annotation
-    if record.task == "IC":
-        labels = sample_candidate_labels(
-            inventories.get("IC") or ann.get("labels") or [ann["intent"]],
-            ann["intent"], model.prompt_cfg.k_min, rng)
-        return build_task_prompt("IC", labels, model.bank, rng)
-    if record.task == "SF":
-        gold_types = sorted({t for t, _ in ann["entities"]})
-        inventory = inventories.get("SF") or ann.get("labels") or gold_types
-        labels = sample_candidate_labels(inventory, gold_types or inventory[:1],
-                                         model.prompt_cfg.k_min, rng)
-        return build_task_prompt("SF", labels, model.bank, rng)
-    if record.task == "SQA":
-        return ann["question"]
-    if record.task == "SIT":
-        return ann["instruction"]
-    if record.task in ("SA", "SER", "STER"):
-        return ann["instruction"]
-    return build_task_prompt("ASR", [], model.bank, rng)
-
-
 @dataclass
 class TrainingExample:
     record_id: str
@@ -101,22 +77,19 @@ def build_training_sequence(record: ManifestRecord, config: str, model: SluModel
     vocab, pcfg = model.vocab, model.prompt_cfg
     answer = gold_answer(record)
     asr_prompt = build_task_prompt("ASR", [], model.bank, rng)
+    # the instruction inference would give this record; a spec's strategy
+    # does not change it
+    slu_prompt = task_instruction(spec_for_record(record, "alone", inventories), model, rng)
 
     if config == PLAIN or config == "alone":
-        if record.task == "SQIT":
-            turns = [DialogueTurn("user", "", speech=True)]
-        else:
-            prompt = _slu_prompt_for_training(record, model, inventories, rng)
-            turns = [DialogueTurn("user", prompt, speech=True)]
-        turns.append(DialogueTurn("assistant", answer))
+        turns = [DialogueTurn("user", slu_prompt, speech=True),
+                 DialogueTurn("assistant", answer)]
     elif config == "scot":
-        slu_prompt = _slu_prompt_for_training(record, model, inventories, rng)
         user = build_scot(asr_prompt, slu_prompt, pcfg.scot_delimiter)
         target = scot_target(record.transcript, answer, pcfg.scot_delimiter)
         turns = [DialogueTurn("user", user, speech=True),
                  DialogueTurn("assistant", target)]
     elif config == "mr":
-        slu_prompt = _slu_prompt_for_training(record, model, inventories, rng)
         turns = build_mr_history(record.transcript, slu_prompt, asr_prompt)
         turns.append(DialogueTurn("assistant", answer))
     else:

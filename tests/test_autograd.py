@@ -128,16 +128,6 @@ def test_embedding_lookup_gathers_rows(rng):
     np.testing.assert_array_equal(out.data, table.data[[4, 0, 4]])
 
 
-def test_forward_primitive_dispatch(rng):
-    x = ag.Tensor(rng.normal(size=(4, 10)))
-    w = ag.Tensor(rng.normal(size=(3, 4, 3)))
-    out = ag.forward_primitive("conv1d", [x, w], {"stride": 2, "padding": 1})
-    assert out.shape == (3, 5)
-    assert out.op == "conv1d"
-    with pytest.raises(KeyError):
-        ag.forward_primitive("batched_rnn", [x], {})
-
-
 def test_cross_entropy_ignored_positions_contribute_nothing(rng):
     logits = t64(rng.normal(size=(4, 6)), trainable=True, name="logits")
     targets = np.array([1, 2, 3, 4])

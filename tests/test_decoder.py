@@ -231,8 +231,10 @@ def test_greedy_ties_break_to_lowest_id():
     assert out.ids == [0]
 
 
-def test_kv_cached_path_matches_graph_forward():
-    dec, vocab = make_decoder(seed=23, lora=LoraConfig(rank=2, alpha=4.0))
+@pytest.mark.parametrize("targets", [("q", "k", "v", "o"), ("q", "v")], ids=["qkvo", "qv"])
+def test_kv_cached_path_matches_graph_forward(targets):
+    # ("q", "v") leaves k and o unwrapped: their folded weight is the base one
+    dec, vocab = make_decoder(seed=23, lora=LoraConfig(rank=2, alpha=4.0, targets=targets))
     # give the adapters real content so the folded path is exercised
     fill = np.random.default_rng(24)
     for layer in dec.layers:

@@ -152,9 +152,9 @@ def _graph_encode(encoder, mel):
     h = ag.add(h, sinusoid_table(h.shape[0], h.shape[1]))
     for blk in encoder.blocks:
         a = ag.layer_norm(h, blk.ln1_g, blk.ln1_b)
-        a = ag.multihead_attention(ag.matmul(a, blk.wq), ag.matmul(a, blk.wk),
-                                   ag.matmul(a, blk.wv), blk.n_heads)
-        h = ag.add(h, ag.matmul(a, blk.wo))
+        a = ag.multihead_attention(ag.matmul(a, blk.proj["q"]), ag.matmul(a, blk.proj["k"]),
+                                   ag.matmul(a, blk.proj["v"]), blk.n_heads)
+        h = ag.add(h, ag.matmul(a, blk.proj["o"]))
         f = ag.layer_norm(h, blk.ln2_g, blk.ln2_b)
         f = ag.linear(ag.gelu(ag.linear(f, blk.w1, blk.b1)), blk.w2, blk.b2)
         h = ag.add(h, f)

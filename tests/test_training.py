@@ -1,6 +1,8 @@
 """Training harness: config assignment, mask construction, loss laws,
 epoch semantics, and determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from speechslu.audio import resolve_audio
 from speechslu.datasets import ManifestRecord, MicroCorpusSpec, generate_micro_corpus
 from speechslu.errors import TrainingDiverged
 from speechslu.initutil import param_hash
-from speechslu.orchestrator import collect_inventories
+from speechslu.orchestrator import collect_inventories, infer, spec_for_record
 from speechslu.training import (PLAIN, assign_config, build_training_sequence,
                                 gold_answer, train, _epoch_stream)
 
@@ -160,6 +162,50 @@ def test_prompt_and_speech_positions_never_masked(tiny_model, micro_corpus):
             s0, s1 = seq.splice_start, seq.splice_start + seq.splice_len
             assert not seq.loss_mask[s0:s1].any()
             assert not seq.loss_mask[0]
+
+
+@pytest.mark.parametrize("strategy", ["scot", "mr"])
+def test_training_prompt_is_the_inference_prompt(tiny_model, micro_corpus, flat_records,
+                                                 strategy, monkeypatch):
+    # train/serve parity: up to the first assistant content, the training
+    # sequence is token for token the prompt of inference's first generation
+    # (scot: ASR + task instruction; mr: round 1) under the same seed
+    inventories = collect_inventories(flat_records)
+    prompts = []
+    generate = tiny_model.decoder.generate_greedy
+
+    def recording(seq, speech, max_new, stop_id=None):
+        prompts.append(list(seq.ids))
+        return generate(seq, speech, max_new, stop_id)
+
+    monkeypatch.setattr(tiny_model.decoder, "generate_greedy", recording)
+    for record in micro_corpus["IC"] + micro_corpus["SF"]:
+        for seed in (0, 1):
+            prompts.clear()
+            spec = spec_for_record(record, strategy, inventories)
+            res = infer(record.audio, spec, tiny_model, np.random.default_rng(seed))
+            example = build_training_sequence(
+                record, strategy, tiny_model, inventories, np.random.default_rng(seed),
+                tiny_model.speech_len(resolve_audio(record.audio)))
+            seq = example.sequence
+            first = int(np.flatnonzero(seq.loss_mask)[0])
+            assert list(seq.ids[:first]) == prompts[0], (record.id, seed)
+            s0, s1 = seq.splice_start, seq.splice_start + seq.splice_len
+            one_placeholder = np.concatenate([seq.ids[:s0 + 1], seq.ids[s1:first]])
+            assert tiny_model.vocab.detokenize(one_placeholder) == res.round_prompts[0]
+
+
+def test_sf_record_without_entities_lists_every_inventory_label(tiny_model, flat_records):
+    # no gold slot type: the candidates are the whole inventory, shuffled,
+    # as at inference
+    labels = collect_inventories(flat_records)["SF"]
+    record = ManifestRecord(id="sf-empty", audio="synthetic:turn it up", transcript="turn it up",
+                            task="SF", annotation={"entities": [], "labels": labels})
+    for config in ("alone", "scot", "mr"):
+        for seed in range(6):
+            example, _ = _sequence_for(tiny_model, record, config, seed=seed)
+            text = tiny_model.vocab.detokenize(example.sequence.ids)
+            assert any(", ".join(p) in text for p in itertools.permutations(labels)), text
 
 
 def test_masked_positions_contribute_zero_gradient(tiny_model, micro_corpus):
