@@ -159,6 +159,31 @@ def synthesize_mel(text: str, n_mels: int = 80,
     return MelSpectrogram(frames=frames, n_mels=n_mels)
 
 
+SYNTHETIC = "synthetic:"
+
+
+def _source_path(ref: str, base_dir) -> Path:
+    path = Path(ref)
+    if not path.is_absolute() and base_dir is not None:
+        path = Path(base_dir) / path
+    return path
+
+
+def source_key(ref: str, base_dir=None) -> str | tuple[str, int, int]:
+    """Identity of the audio a reference resolves to.
+
+    A "synthetic:<text>" reference is its own key. A file is keyed by its
+    absolute resolved path, size and modification time, so one relative
+    name under two base directories gives two keys, and a rewritten file
+    gives a new one (unless the rewrite keeps both size and mtime).
+    """
+    if ref.startswith(SYNTHETIC):
+        return ref
+    path = _source_path(ref, base_dir).resolve()
+    st = path.stat()
+    return (str(path), st.st_size, st.st_mtime_ns)
+
+
 def resolve_audio(ref: str, base_dir=None, n_mels: int = 80,
                   clip_seconds: float = 30.0) -> MelSpectrogram:
     """Turn a manifest audio reference into mel features.
@@ -167,11 +192,9 @@ def resolve_audio(ref: str, base_dir=None, n_mels: int = 80,
     files, and WAV files run through the log-mel frontend. Relative paths
     resolve against `base_dir`.
     """
-    if ref.startswith("synthetic:"):
-        return synthesize_mel(ref[len("synthetic:"):], n_mels=n_mels)
-    path = Path(ref)
-    if not path.is_absolute() and base_dir is not None:
-        path = Path(base_dir) / path
+    if ref.startswith(SYNTHETIC):
+        return synthesize_mel(ref[len(SYNTHETIC):], n_mels=n_mels)
+    path = _source_path(ref, base_dir)
     if path.suffix == ".mel":
         return load_mel(path)
     wav, sr = load_wav(path)

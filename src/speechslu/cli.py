@@ -76,11 +76,14 @@ def cmd_train(args) -> int:
     if not manifests:
         raise ConfigError("train: no manifests given (flag --manifest or config.manifests)")
     records = []
-    base_dirs = {}
+    sources: dict[str, Path] = {}
     for path in manifests:
         recs, _ = read_manifest(path)
         for r in recs:
-            base_dirs[r.id] = Path(path).parent
+            if r.id in sources:
+                raise ConfigError(f"train: record id {r.id!r} appears in both "
+                                  f"{sources[r.id]} and {path}")
+            sources[r.id] = Path(path)
         records.extend(recs)
     if not records:
         raise ConfigError("train: manifests contain no records")
@@ -92,10 +95,10 @@ def cmd_train(args) -> int:
     vocab = build_vocabulary(training_texts(records, bank),
                              default_specials(cfg.prompts))
     model = SluModel(cfg, vocab)
-    base_dir = Path(manifests[0]).parent
     _log(f"training on {len(records)} records "
          f"({len(model.trainable_parameters())} trainable tensors)")
-    result = train(records, model, epochs=args.epochs, base_dir=base_dir)
+    base_dirs = {rid: path.parent for rid, path in sources.items()}
+    result = train(records, model, epochs=args.epochs, base_dirs=base_dirs)
     model.save(out_dir)
     save_config(cfg, out_dir / "config.json")
     write_trace_csv(out_dir / "loss_trace.csv", result, model.config_hash)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .aligner import ModalityAligner
-from .audio import MelSpectrogram, resolve_audio
+from .audio import resolve_audio, source_key
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
 from .decoder import InstructionDecoder, MultimodalSequence, expand_splice
@@ -17,6 +17,9 @@ from .encoder import SpeechEncoder
 from .errors import ShapeMismatch
 from .prompts import DialogueTurn, PromptBank, render_chat
 from .tokenizer import Vocabulary
+
+# first requests remembered by the encoder cache's admission rule
+SEEN_SOURCES_MAX = 65536
 
 
 class SluModel:
@@ -33,7 +36,9 @@ class SluModel:
         self.decoder = InstructionDecoder(cfg.decoder, vocab, dec_rng)
         self.decoder.inject_lora(cfg.lora, dec_rng)
         self.config_hash = config_hash(cfg)
-        self._enc_cache: dict[str, np.ndarray] = {}
+        # source_key -> encoder output; first requests, as an insertion-ordered set
+        self._enc_cache: dict[object, np.ndarray] = {}
+        self._seen: dict[object, None] = {}
 
     # -- parameters -----------------------------------------------------------
 
@@ -49,29 +54,35 @@ class SluModel:
 
     # -- audio path -----------------------------------------------------------
 
-    def encode_mel(self, mel: MelSpectrogram, cache_key: str | None = None) -> np.ndarray:
-        """Frozen encoder output as a plain array (cacheable across passes)."""
-        if cache_key is not None and cache_key in self._enc_cache:
-            return self._enc_cache[cache_key]
-        enc = self.encoder.encode(mel).data
-        if cache_key is not None:
-            self._enc_cache[cache_key] = enc
-        return enc
+    def encode_mel(self, audio_ref: str, base_dir=None) -> np.ndarray:
+        """Frozen encoder output for an audio reference, as a plain array.
 
-    def embed_audio(self, mel: MelSpectrogram, cache_key: str | None = None) -> ag.Tensor:
-        """Aligned speech embeddings (graph output; gradients reach the aligner)."""
-        enc = self.encode_mel(mel, cache_key)
-        return self.aligner.align(ag.Tensor(enc))
-
-    def embed_audio_ref(self, audio_ref: str, base_dir=None) -> np.ndarray:
+        The lookup is keyed on `source_key`, before the audio is resolved,
+        so a hit skips mel loading or synthesis as well as the encoder. An
+        output is stored only on its source's second request (most sources
+        of a one-pass run never come back); `_seen` remembers first
+        requests, the oldest dropped past SEEN_SOURCES_MAX.
+        """
+        key = source_key(audio_ref, base_dir)
+        enc = self._enc_cache.get(key)
+        if enc is not None:
+            return enc
         mel = resolve_audio(audio_ref, base_dir=base_dir,
                             n_mels=self.cfg.encoder.n_mels,
                             clip_seconds=self.cfg.encoder.clip_seconds)
-        return self.embed_audio(mel, cache_key=audio_ref).data
+        enc = self.encoder.encode(mel).data
+        if key in self._seen:
+            del self._seen[key]
+            self._enc_cache[key] = enc
+        else:
+            self._seen[key] = None
+            if len(self._seen) > SEEN_SOURCES_MAX:
+                del self._seen[next(iter(self._seen))]
+        return enc
 
-    def speech_len(self, mel: MelSpectrogram) -> int:
-        t_enc = -(-mel.frames.shape[1] // 2)
-        return self.aligner.out_len(t_enc)
+    def embed_audio(self, audio_ref: str, base_dir=None) -> ag.Tensor:
+        """Aligned speech embeddings (graph output; gradients reach the aligner)."""
+        return self.aligner.align(ag.Tensor(self.encode_mel(audio_ref, base_dir)))
 
     # -- generation -----------------------------------------------------------
 
@@ -114,6 +125,7 @@ class SluModel:
                         "load_weights", f"{name}: {params[name].shape} vs {tensor.data.shape}")
                 tensor.data = params[name].astype(np.float32).copy()
         self._enc_cache.clear()
+        self._seen.clear()
 
 
 def load_model(run_dir, cfg: RunConfig | None = None) -> SluModel:

@@ -182,7 +182,7 @@ def infer(audio_ref: str, spec: TaskSpec, model, rng: np.random.Generator,
     prompt, then the task instruction (after `mr`'s round-1 transcription,
     which draws nothing).
     """
-    speech = model.embed_audio_ref(audio_ref, base_dir=base_dir)
+    speech = model.embed_audio(audio_ref, base_dir).data
     result = SluResult(task=spec.task, strategy=spec.strategy)
     delim = model.prompt_cfg.scot_delimiter
     icfg = model.infer_cfg

@@ -12,6 +12,7 @@ ordinary bytes.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -37,11 +38,11 @@ class Vocabulary:
             seen.add(w)
         self._word_ids = {w.encode("utf-8"): self.word_offset + i
                           for i, w in enumerate(self.words)}
-        self._max_word_bytes = max((len(b) for b in self._word_ids), default=0)
-        # byte value -> candidate word byte-strings, longest first
-        self._by_first: dict[int, list[bytes]] = {}
-        for wb in sorted(self._word_ids, key=len, reverse=True):
-            self._by_first.setdefault(wb[0], []).append(wb)
+        # alternatives are tried in order, so each match is the longest word
+        # at its position, else one byte
+        longest_first = sorted(self._word_ids, key=len, reverse=True)
+        self._pattern = re.compile(
+            b"|".join([re.escape(wb) for wb in longest_first] + [b"."]), re.DOTALL)
         self._cache: dict[str, tuple[int, ...]] = {}
 
     @property
@@ -61,21 +62,9 @@ class Vocabulary:
         cached = self._cache.get(text)
         if cached is not None:
             return list(cached)
-        data = text.encode("utf-8")
-        ids: list[int] = []
-        i, n = 0, len(data)
-        while i < n:
-            match = None
-            for wb in self._by_first.get(data[i], ()):
-                if data.startswith(wb, i):
-                    match = wb
-                    break
-            if match is not None:
-                ids.append(self._word_ids[match])
-                i += len(match)
-            else:
-                ids.append(self.byte_offset + data[i])
-                i += 1
+        word_ids, byte_offset = self._word_ids, self.byte_offset
+        ids = [word_ids.get(piece) or byte_offset + piece[0]
+               for piece in self._pattern.findall(text.encode("utf-8"))]
         if len(self._cache) < 65536:
             self._cache[text] = tuple(ids)
         return ids

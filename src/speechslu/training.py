@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .audio import resolve_audio
 from .datasets import ManifestRecord
 from .decoder import MultimodalSequence, expand_splice
 from .errors import MissingAnnotation, NonFiniteInput, TrainingDiverged
@@ -118,6 +117,8 @@ class TraceRow:
     config: str
     loss: float          # per supervised token, this sequence
     tokens: int = 0      # supervised tokens in this sequence
+    lr: float = 0.0      # learning rate of this step
+    grad_norm: float = 0.0  # this step's global gradient norm, before clipping
 
     def csv(self) -> str:
         return f"{self.step},{self.task},{self.config},{self.loss:.6f}"
@@ -151,10 +152,13 @@ def _epoch_stream(records: list[ManifestRecord], weights: dict[str, float],
 
 
 def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = None,
-          base_dir=None, log_every: int = 0) -> TrainResult:
+          base_dirs: dict | None = None, log_every: int = 0) -> TrainResult:
     """One pass (or `epochs` passes) of masked-CE training over the mixed
-    task stream. Only aligner + LoRA parameters receive updates."""
+    task stream. Only aligner + LoRA parameters receive updates. A
+    record's relative audio path resolves against `base_dirs[record.id]`
+    (its manifest's directory), else against the working directory."""
     tcfg = model.cfg.train
+    base_dirs = base_dirs or {}
     epochs = tcfg.epochs if epochs is None else epochs
     inventories = collect_inventories(records)
     trainable = list(model.trainable_parameters().values())
@@ -181,14 +185,10 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
             rows = []
             for record in batch:
                 config = assign_config(record, build_rng, tcfg.strategy_probs)
-                mel = resolve_audio(record.audio, base_dir=base_dir,
-                                    n_mels=model.cfg.encoder.n_mels,
-                                    clip_seconds=model.cfg.encoder.clip_seconds)
-                speech_len = model.speech_len(mel)
-                example = build_training_sequence(record, config, model,
-                                                  inventories, build_rng, speech_len)
                 try:
-                    speech = model.embed_audio(mel, cache_key=record.audio)
+                    speech = model.embed_audio(record.audio, base_dirs.get(record.id))
+                    example = build_training_sequence(record, config, model, inventories,
+                                                      build_rng, speech.data.shape[0])
                     seq = example.sequence
                     logits = model.decoder.forward(seq, speech)
                     t = len(seq.ids)
@@ -208,14 +208,14 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
             for p in trainable:
                 if p.grad is not None:
                     p.grad *= scale
-            clip_global_norm(trainable, tcfg.clip_norm)
+            grad_norm = clip_global_norm(trainable, tcfg.clip_norm)
             missing = [p for p in trainable if p.grad is None]
             for p in missing:
                 p.grad = np.zeros_like(p.data)
             adamw_step(trainable, state)
             for record, example, per_tok, n_tok in rows:
-                result.trace.append(
-                    TraceRow(step, record.task, example.config, per_tok, n_tok))
+                result.trace.append(TraceRow(step, record.task, example.config, per_tok,
+                                             n_tok, state.lr, grad_norm))
             if log_every and step % log_every == 0:
                 batch_loss = total_nll / max(1, total_tokens)
                 print(f"step {step}: loss/token {batch_loss:.4f}")

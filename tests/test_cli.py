@@ -174,3 +174,48 @@ def test_evaluate_from_files_needs_no_model(tmp_path):
     assert main(["evaluate", "--task", "ic", "--pred", str(preds_path),
                  "--gold", str(gold_path), "--out", str(report)]) == 0
     assert json.loads(report.read_text())["intent_accuracy"] == 1.0
+
+
+def _two_corpora(root, ids):
+    """Manifests a/ic.jsonl and b/ic.jsonl with one IC record each; both
+    records name the audio `mels/clip.mel`, which holds different features
+    (4 and 3 words) in each directory."""
+    from speechslu.audio import save_mel, synthesize_mel
+
+    manifests = []
+    for sub, rid, text in zip(("a", "b"), ids, ("turn on the light", "play some music")):
+        (root / sub / "mels").mkdir(parents=True)
+        save_mel(root / sub / "mels" / "clip.mel", synthesize_mel(text))
+        record = ManifestRecord(id=rid, audio="mels/clip.mel", transcript=text, task="IC",
+                                annotation={"intent": f"intent_{sub}"})
+        write_manifest(root / sub / "ic.jsonl", [record])
+        manifests.append(root / sub / "ic.jsonl")
+    cfg_path = root / "run.json"
+    save_config(micro_run_config(seed=5), cfg_path)
+    return ["train", "--config", str(cfg_path), "--manifest", str(manifests[0]),
+            "--manifest", str(manifests[1]), "--out", str(root / "run"), "--epochs", "2"]
+
+
+def test_train_resolves_each_record_against_its_own_manifest(tmp_path, monkeypatch):
+    from speechslu import audio
+
+    loaded = []
+    load_mel = audio.load_mel
+
+    def spy(path):
+        mel = load_mel(path)
+        loaded.append((str(path), mel.frames.shape[1]))
+        return mel
+
+    monkeypatch.setattr(audio, "load_mel", spy)
+    assert main(_two_corpora(tmp_path, ("a-0", "b-0"))) == 0
+    assert set(loaded) == {(str(tmp_path / "a" / "mels" / "clip.mel"), 64),
+                           (str(tmp_path / "b" / "mels" / "clip.mel"), 48)}
+
+
+def test_train_rejects_a_record_id_in_two_manifests(tmp_path, capsys):
+    assert main(_two_corpora(tmp_path, ("ic-0", "ic-0"))) == 2
+    err = capsys.readouterr().err
+    assert "ic-0" in err
+    assert str(tmp_path / "a" / "ic.jsonl") in err and str(tmp_path / "b" / "ic.jsonl") in err
+    assert not (tmp_path / "run" / "checkpoint.sslc").exists()

@@ -6,8 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from speechslu import autograd as ag
-from speechslu.audio import resolve_audio
+from speechslu import autograd as ag, training
 from speechslu.datasets import ManifestRecord, MicroCorpusSpec, generate_micro_corpus
 from speechslu.errors import TrainingDiverged
 from speechslu.initutil import param_hash
@@ -20,11 +19,10 @@ from conftest import build_tiny_model
 
 def _sequence_for(model, record, config, seed=0):
     inventories = collect_inventories([record])
-    mel = resolve_audio(record.audio)
-    speech_len = model.speech_len(mel)
+    speech_len = model.embed_audio(record.audio).data.shape[0]
     rng = np.random.default_rng(seed)
     return build_training_sequence(record, config, model, inventories, rng,
-                                   speech_len), mel
+                                   speech_len), record.audio
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ def test_training_prompt_is_the_inference_prompt(tiny_model, micro_corpus, flat_
             res = infer(record.audio, spec, tiny_model, np.random.default_rng(seed))
             example = build_training_sequence(
                 record, strategy, tiny_model, inventories, np.random.default_rng(seed),
-                tiny_model.speech_len(resolve_audio(record.audio)))
+                tiny_model.embed_audio(record.audio).data.shape[0])
             seq = example.sequence
             first = int(np.flatnonzero(seq.loss_mask)[0])
             assert list(seq.ids[:first]) == prompts[0], (record.id, seed)
@@ -212,14 +210,14 @@ def test_masked_positions_contribute_zero_gradient(tiny_model, micro_corpus):
     # permuting the target ids at masked-out positions must leave every
     # trainable gradient bit-identical
     record = micro_corpus["IC"][1]
-    example, mel = _sequence_for(tiny_model, record, "alone", seed=4)
+    example, audio = _sequence_for(tiny_model, record, "alone", seed=4)
     seq = example.sequence
     params = list(tiny_model.trainable_parameters().values())
 
     def grads_for(ids):
         for p in params:
             p.grad = None
-        speech = tiny_model.embed_audio(mel)
+        speech = tiny_model.embed_audio(audio)
         logits = tiny_model.decoder.forward(seq.__class__(
             ids, splice_start=seq.splice_start, splice_len=seq.splice_len), speech)
         loss = ag.cross_entropy(ag.slice_rows(logits, 0, len(ids) - 1), ids[1:],
@@ -240,7 +238,7 @@ def test_masked_positions_contribute_zero_gradient(tiny_model, micro_corpus):
     # build the comparison loss with permuted TARGETS but identical inputs
     for p in params:
         p.grad = None
-    speech = tiny_model.embed_audio(mel)
+    speech = tiny_model.embed_audio(audio)
     logits = tiny_model.decoder.forward(seq, speech)
     loss = ag.cross_entropy(ag.slice_rows(logits, 0, len(seq.ids) - 1),
                             shuffled_targets[1:], ignore_mask=seq.loss_mask[1:],
@@ -309,6 +307,32 @@ def test_loss_trace_rows_and_determinism(micro_corpus):
     assert len(traces[0]) == 2 * len(records)
     steps = [row[0] for row in traces[0]]
     assert steps == sorted(steps)
+
+
+def test_trace_records_lr_and_pre_clip_gradient_norm(micro_corpus, monkeypatch):
+    records = micro_corpus["IC"][:2] + micro_corpus["SF"][:2]
+    kw = dict(seed=8, batch_size=2, lr=1e-2, clip_norm=1e-3, lr_schedule="linear")
+    plain = train(records, build_tiny_model(records, **kw), epochs=1)
+
+    norms = []
+    clip = training.clip_global_norm
+
+    def recomputing(params, max_norm):
+        grads = [p.grad.astype(np.float64).ravel() for p in params if p.grad is not None]
+        norms.append(float(np.linalg.norm(np.concatenate(grads))))
+        return clip(params, max_norm)
+
+    monkeypatch.setattr(training, "clip_global_norm", recomputing)
+    result = train(records, build_tiny_model(records, **kw), epochs=1)
+    assert result.steps == 2 and len(norms) == 2
+    for row in result.trace:
+        assert row.grad_norm == pytest.approx(norms[row.step - 1], rel=1e-9)
+        assert row.grad_norm > 1e-3  # the norm before clipping, not after
+        assert row.lr == pytest.approx(1e-2 * max(0.1, 1.0 - row.step / 2), rel=1e-12)
+    assert ([(r.step, r.task, r.config, r.loss, r.tokens) for r in result.trace]
+            == [(r.step, r.task, r.config, r.loss, r.tokens) for r in plain.trace])
+    # the CSV keeps its four columns
+    assert [row.csv().count(",") for row in result.trace] == [3] * len(result.trace)
 
 
 def test_two_runs_same_seed_bitwise_identical_weights(micro_corpus):
