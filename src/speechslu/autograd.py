@@ -7,6 +7,13 @@ materialised on trainable leaves -- frozen tensors keep `grad = None`
 no matter what graph they participate in, and subgraphs that cannot
 reach a trainable leaf are skipped entirely.
 
+Every VJP computes gradients only for inputs with `requires_grad` and
+returns None for the others, so frozen weights and frozen inputs cost no
+gradient work. `lora_linear` and `multihead_attention` are single nodes
+with hand-written VJPs; each returns an input's gradient contributions
+separately, in the order the equivalent composition of primitives would
+accumulate them, so training is bit-identical to that composition.
+
 Float32 is the working precision for models; the same ops run in
 float64 when handed float64 arrays (used by the finite-difference
 checks in the test suite).
@@ -167,8 +174,9 @@ def feed_forward_kernel(h: np.ndarray, w1: np.ndarray, b1: np.ndarray,
 
 
 def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                     mask: np.ndarray | None = None) -> np.ndarray:
-    """Scaled dot-product attention of q [Tq, d] over k, v [Tk, d].
+                     mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention of q [Tq, d] over k, v [Tk, d], and the
+    softmax weights [heads, Tq, Tk] its gradient reuses.
 
     `mask` is additive and broadcasts to [Tq, Tk] (-inf hides a key).
     """
@@ -185,7 +193,7 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    return (w @ vh).transpose(1, 0, 2).reshape(tq, d)
+    return (w @ vh).transpose(1, 0, 2).reshape(tq, d), w
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +207,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make_node("add", out, (a, b), vjp)
 
@@ -211,8 +220,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make_node("mul", out, (a, b), vjp)
 
@@ -226,9 +235,11 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+              if a.requires_grad else None)
+        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+              if b.requires_grad else None)
+        return ga, gb
 
     return _make_node("matmul", out, (a, b), vjp)
 
@@ -337,12 +348,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = xhat * gamma.data + beta.data
 
     def vjp(g):
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (dxhat - m1 - xhat * m2)
-        ggamma = (g * xhat).reshape(-1, d.shape[-1]).sum(axis=0)
-        gbeta = g.reshape(-1, d.shape[-1]).sum(axis=0)
+        gx = ggamma = gbeta = None
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            gx = inv * (dxhat - m1 - xhat * m2)
+        if gamma.requires_grad:
+            ggamma = (g * xhat).reshape(-1, d.shape[-1]).sum(axis=0)
+        if beta.requires_grad:
+            gbeta = g.reshape(-1, d.shape[-1]).sum(axis=0)
         return (gx, ggamma, gbeta)
 
     return _make_node("layer_norm", out, (x, gamma, beta), vjp)
@@ -359,6 +374,36 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         y = add(y, b)
         y.op = "linear"
     return y
+
+
+def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scale: float) -> Tensor:
+    """x @ w + (x @ a.T) @ b.T * scale, as one node: a projection w [d_in, d_out]
+    plus a low-rank update with a [r, d_in] and b [d_out, r]."""
+    x, w, a, b = _as_tensor(x), _as_tensor(w), _as_tensor(a), _as_tensor(b)
+    d_in, d_out = w.data.shape
+    r = a.data.shape[0]
+    if x.data.ndim != 2 or x.data.shape[1] != d_in or a.data.shape != (r, d_in) \
+            or b.data.shape != (d_out, r):
+        raise ShapeMismatch("lora_linear", f"x {x.data.shape}, w {w.data.shape}, "
+                                           f"a {a.data.shape}, b {b.data.shape}")
+    for arr in (x.data, w.data, a.data, b.data):
+        _check_finite("lora_linear", arr)
+    s = np.asarray(scale, dtype=x.data.dtype)
+    low = x.data @ a.data.T
+    out = x.data @ w.data + low @ b.data.T * s
+
+    def vjp(g):
+        # x is listed twice: its base and adapter gradients reach the
+        # accumulator one after the other, as from two matmul nodes
+        gl = g * s  # gradient at (x @ a.T) @ b.T
+        glow = gl @ b.data if x.requires_grad or a.requires_grad else None
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                glow @ a.data if x.requires_grad else None,
+                (x.data.T @ glow).T if a.requires_grad else None,
+                (low.T @ gl).T if b.requires_grad else None)
+
+    return _make_node("lora_linear", out, (x, w, x, a, b), vjp)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1,
@@ -396,16 +441,20 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1,
         inputs.append(b)
 
     def vjp(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for kk in range(k):
-            sl = slice(kk, kk + stride * (t_out - 1) + 1, stride)
-            gw[:, :, kk] = g @ xp[:, sl].T
-            gxp[:, sl] += w.data[:, :, kk].T @ g
-        gx = gxp[:, padding:padding + t_in] if padding else gxp
+        taps = [slice(kk, kk + stride * (t_out - 1) + 1, stride) for kk in range(k)]
+        gx = gw = None
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            for kk, sl in enumerate(taps):
+                gw[:, :, kk] = g @ xp[:, sl].T
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for kk, sl in enumerate(taps):
+                gxp[:, sl] += w.data[:, :, kk].T @ g
+            gx = gxp[:, padding:padding + t_in] if padding else gxp
         grads = [gx, gw]
         if b is not None:
-            grads.append(g.sum(axis=1))
+            grads.append(g.sum(axis=1) if b.requires_grad else None)
         return tuple(grads)
 
     return _make_node("conv1d", out, tuple(inputs), vjp)
@@ -436,29 +485,45 @@ def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                         causal: bool = False) -> Tensor:
-    """Scaled dot-product attention over already-projected q/k/v of shape [T, d]."""
+    """Scaled dot-product attention over already-projected q/k/v of shape [T, d],
+    as one node whose forward is `attention_kernel`."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    t, d = q.data.shape
-    if k.data.shape != (t, d) or v.data.shape != (t, d):
+    if q.data.ndim != 2 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
         raise ShapeMismatch(
             "multihead_attention", f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    t, d = q.data.shape
     if d % n_heads != 0:
         raise ShapeMismatch("multihead_attention", f"dim {d} not divisible by {n_heads} heads")
+    for x in (q, k, v):
+        _check_finite("multihead_attention", x.data)
     dh = d // n_heads
+    mask = causal_mask(t, dtype=q.data.dtype) if causal else None
+    out, w = attention_kernel(q.data, k.data, v.data, n_heads, mask)
 
-    def split(x):
-        return transpose(reshape(x, (t, n_heads, dh)), (1, 0, 2))
+    def heads(x):  # [T, d] -> [heads, T, dh] view
+        return x.reshape(t, n_heads, dh).transpose(1, 0, 2)
 
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = matmul(qh, transpose(kh, (0, 2, 1)))
-    scores = mul(scores, np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype))
-    if causal:
-        scores = add(scores, causal_mask(t, dtype=q.data.dtype))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, vh)
-    out = reshape(transpose(ctx, (1, 0, 2)), (t, d))
-    out.op = "multihead_attention"
-    return out
+    def merge(gh):  # [heads, T, dh] -> [T, d]
+        return gh.transpose(1, 0, 2).reshape(t, d)
+
+    def vjp(g):
+        # the same expressions on the same operand layouts as the composition
+        # reshape -> transpose -> matmul -> scale -> mask -> softmax -> matmul
+        gctx = np.ascontiguousarray(heads(g))
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = merge(np.swapaxes(w, -1, -2) @ gctx)
+        if q.requires_grad or k.requires_grad:
+            gw = gctx @ np.swapaxes(heads(v.data), -1, -2)
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+            gs *= np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+            if q.requires_grad:
+                gq = merge(gs @ heads(k.data))
+            if k.requires_grad:
+                gk = merge(np.swapaxes(np.swapaxes(heads(q.data), -1, -2) @ gs, -1, -2))
+        return gq, gk, gv
+
+    return _make_node("multihead_attention", out, (q, k, v), vjp)
 
 
 def cross_entropy(logits: Tensor, targets, ignore_mask=None,
@@ -483,15 +548,15 @@ def cross_entropy(logits: Tensor, targets, ignore_mask=None,
         raise ShapeMismatch("cross_entropy", f"mask {keep.shape} vs positions {t}")
 
     m = logits.data.max(axis=-1, keepdims=True)
-    z = logits.data - m
-    lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
+    e = np.exp(logits.data - m)
+    lse = np.log(e.sum(axis=-1)) + m[:, 0]
     nll = lse - logits.data[np.arange(t), targets]
     n_keep = int(keep.sum())
     denom = max(1, n_keep) if reduction == "mean" else 1
     out = np.asarray((nll * keep).sum() / denom, dtype=logits.data.dtype)
 
     def vjp(g):
-        p = np.exp(logits.data - m) / np.exp(z).sum(axis=-1, keepdims=True)
+        p = e / e.sum(axis=-1, keepdims=True)
         p[np.arange(t), targets] -= 1.0
         p *= (keep / denom)[:, None]
         return (p * g,)

@@ -207,6 +207,30 @@ def cmd_selftest(args) -> int:
             failures.append(name)
             print(f"FAIL {name}: {exc}")
 
+    def fd_check(f, params, eps=1e-3):
+        """Backward vs central differences of scalar f(), on every element
+        of each float64 parameter."""
+        for p in params:
+            p.grad = None
+        ag.backward(f())
+        for p in params:
+            flat = p.data.reshape(-1)
+            for idx in range(flat.size):
+                old = flat[idx]
+                flat[idx] = old + eps
+                up = float(f().data)
+                flat[idx] = old - eps
+                dn = float(f().data)
+                flat[idx] = old
+                num = (up - dn) / (2 * eps)
+                ana = p.grad.reshape(-1)[idx]
+                rel = abs(num - ana) / max(1e-8, abs(num), abs(ana))
+                if rel > 1e-4 and abs(num - ana) > 5e-6:
+                    raise AssertionError(f"{p.name}[{idx}]: rel err {rel:.2e}")
+
+    def squared_sum(out):
+        return ag.tsum(ag.mul(out, out))
+
     def gradient_check():
         rng = np.random.default_rng(0)
         x = ag.Tensor(rng.normal(size=(12, 6)), trainable=True)
@@ -214,23 +238,22 @@ def cmd_selftest(args) -> int:
         aligner = ModalityAligner(cfg, rng)
         for p in aligner.named_parameters().values():
             p.data = rng.normal(size=p.data.shape, scale=0.25)
-        loss = ag.tsum(ag.mul(aligner.align(x), aligner.align(x)))
-        ag.backward(loss)
-        eps = 1e-3
-        for p in list(aligner.named_parameters().values())[:4]:
-            flat = p.data.reshape(-1)
-            idx = 0
-            old = flat[idx]
-            flat[idx] = old + eps
-            up = float(ag.tsum(ag.mul(aligner.align(x), aligner.align(x))).data)
-            flat[idx] = old - eps
-            dn = float(ag.tsum(ag.mul(aligner.align(x), aligner.align(x))).data)
-            flat[idx] = old
-            num = (up - dn) / (2 * eps)
-            ana = p.grad.reshape(-1)[idx]
-            rel = abs(num - ana) / max(1e-8, abs(num), abs(ana))
-            if rel > 1e-4 and abs(num - ana) > 5e-6:
-                raise AssertionError(f"{p.name}: rel err {rel:.2e}")
+        fd_check(lambda: squared_sum(aligner.align(x)),
+                 list(aligner.named_parameters().values())[:4])
+
+    def lora_linear_vjp():
+        rng = np.random.default_rng(3)
+        x, w, a, b = (ag.Tensor(rng.normal(size=shape), trainable=True, name=name)
+                      for name, shape in (("x", (5, 4)), ("w", (4, 3)),
+                                          ("a", (2, 4)), ("b", (3, 2))))
+        fd_check(lambda: squared_sum(ag.lora_linear(x, w, a, b, 1.5)), [x, w, a, b])
+
+    def causal_attention_vjp():
+        rng = np.random.default_rng(4)
+        q, k, v = (ag.Tensor(rng.normal(size=(5, 8)), trainable=True, name=name)
+                   for name in "qkv")
+        fd_check(lambda: squared_sum(ag.multihead_attention(q, k, v, 2, causal=True)),
+                 [q, k, v])
 
     def lora_identity():
         rng = np.random.default_rng(1)
@@ -254,6 +277,8 @@ def cmd_selftest(args) -> int:
             raise AssertionError(f"got {out.data.shape[0]} embeddings, want 375")
 
     check("gradient-check", gradient_check)
+    check("lora-linear-vjp", lora_linear_vjp)
+    check("causal-attention-vjp", causal_attention_vjp)
     check("lora-identity", lora_identity)
     check("shape-law-3000-1500-375", shape_law)
     if failures:

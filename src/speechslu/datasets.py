@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FRAMES_PER_WORD, save_mel, synthesize_mel
-from .errors import MissingAnnotation
+from .errors import ConfigError, MissingAnnotation
 
 TASKS = ("ASR", "IC", "SF", "SQA", "SQIT", "SIT", "SA", "SER", "STER")
 
@@ -97,18 +97,31 @@ def write_manifest(path, records: list[ManifestRecord], meta: dict | None = None
 
 
 def read_manifest(path) -> tuple[list[ManifestRecord], dict | None]:
+    """Records and `_meta` of a manifest; a malformed line, an invalid record
+    or a repeated record id raises ConfigError naming `path:line`."""
     records, meta = [], None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path}:{lineno}: expected a JSON object")
         if "_meta" in d:
             meta = d["_meta"]
             continue
-        records.append(ManifestRecord.from_dict(d))
-    ids = [r.id for r in records]
-    if len(ids) != len(set(ids)):
-        raise ValueError(f"{path}: duplicate record ids")
+        try:
+            record = ManifestRecord.from_dict(d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: invalid record: {exc!r}") from exc
+        if record.id in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate record id {record.id!r} "
+                              f"(first at line {first_line[record.id]})")
+        first_line[record.id] = lineno
+        records.append(record)
     return records, meta
 
 

@@ -66,10 +66,7 @@ class LoraLinear:
         self.B = zeros_param((d_out, rank), True, f"{name}.B")
 
     def __call__(self, x: ag.Tensor) -> ag.Tensor:
-        y = ag.matmul(x, self.base)
-        lo = ag.matmul(ag.matmul(x, ag.transpose(self.A, (1, 0))),
-                       ag.transpose(self.B, (1, 0)))
-        return ag.add(y, ag.mul(lo, np.asarray(self.scale, dtype=x.data.dtype)))
+        return ag.lora_linear(x, self.base, self.A, self.B, self.scale)
 
     def effective_weight(self) -> np.ndarray:
         return self.base.data + self.scale * (self.B.data @ self.A.data).T

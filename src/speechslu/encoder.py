@@ -70,7 +70,7 @@ class TransformerBlock:
             k_buf, v_buf = cache
             k_buf[start:stop], v_buf[start:stop] = k, v
             k, v = k_buf[:stop], v_buf[:stop]
-        x = x + ag.attention_kernel(h @ w["q"], k, v, self.n_heads, mask) @ w["o"]
+        x = x + ag.attention_kernel(h @ w["q"], k, v, self.n_heads, mask)[0] @ w["o"]
         h = ag.layer_norm_kernel(x, self.ln2_g.data, self.ln2_b.data)
         return x + ag.feed_forward_kernel(h, self.w1.data, self.b1.data,
                                           self.w2.data, self.b2.data)

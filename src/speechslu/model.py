@@ -14,7 +14,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
 from .decoder import InstructionDecoder, MultimodalSequence, expand_splice
 from .encoder import SpeechEncoder
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .prompts import DialogueTurn, PromptBank, render_chat
 from .tokenizer import Vocabulary
 
@@ -111,7 +111,8 @@ class SluModel:
         save_checkpoint(out / "checkpoint.sslc", params, self.config_hash)
         self.vocab.save(out / "vocab.json")
 
-    def load_weights(self, checkpoint_path, strict: bool = True) -> None:
+    def load_weights(self, checkpoint_path, strict: bool = True) -> str:
+        """Load parameters; returns the config hash the checkpoint was saved with."""
         params, ck_hash = load_checkpoint(checkpoint_path)
         own = self.named_parameters()
         missing = sorted(set(own) - set(params))
@@ -126,10 +127,14 @@ class SluModel:
                 tensor.data = params[name].astype(np.float32).copy()
         self._enc_cache.clear()
         self._seen.clear()
+        return ck_hash
 
 
 def load_model(run_dir, cfg: RunConfig | None = None) -> SluModel:
-    """Rebuild a model from a run directory (config.json, vocab.json, checkpoint)."""
+    """Rebuild a model from a run directory (config.json, vocab.json, checkpoint).
+
+    Raises ConfigError when the checkpoint was saved under a config whose
+    hash differs from the run's (or `cfg`'s)."""
     from .config import load_config
 
     run_dir = Path(run_dir)
@@ -137,5 +142,8 @@ def load_model(run_dir, cfg: RunConfig | None = None) -> SluModel:
         cfg = load_config(run_dir / "config.json")
     vocab = Vocabulary.load(run_dir / "vocab.json")
     model = SluModel(cfg, vocab)
-    model.load_weights(run_dir / "checkpoint.sslc")
+    ck_hash = model.load_weights(run_dir / "checkpoint.sslc")
+    if ck_hash != model.config_hash:
+        raise ConfigError(f"{run_dir}: checkpoint config hash {ck_hash} does not match "
+                          f"the run config's hash {model.config_hash}")
     return model

@@ -5,6 +5,7 @@ aligner and LoRA parameters."""
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,6 +120,7 @@ class TraceRow:
     tokens: int = 0      # supervised tokens in this sequence
     lr: float = 0.0      # learning rate of this step
     grad_norm: float = 0.0  # this step's global gradient norm, before clipping
+    step_ms: float = 0.0    # wall time of this step, the same on each of its rows
 
     def csv(self) -> str:
         return f"{self.step},{self.task},{self.config},{self.loss:.6f}"
@@ -176,6 +178,7 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
     for _ in range(epochs):
         stream = _epoch_stream(records, tcfg.task_weights, shuffle_rng)
         for batch_start in range(0, len(stream), tcfg.batch_size):
+            t_step = time.perf_counter()
             batch = stream[batch_start:batch_start + tcfg.batch_size]
             step += 1
             if tcfg.lr_schedule == "linear":
@@ -213,9 +216,10 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
             for p in missing:
                 p.grad = np.zeros_like(p.data)
             adamw_step(trainable, state)
+            step_ms = (time.perf_counter() - t_step) * 1000.0
             for record, example, per_tok, n_tok in rows:
                 result.trace.append(TraceRow(step, record.task, example.config, per_tok,
-                                             n_tok, state.lr, grad_norm))
+                                             n_tok, state.lr, grad_norm, step_ms))
             if log_every and step % log_every == 0:
                 batch_loss = total_nll / max(1, total_tokens)
                 print(f"step {step}: loss/token {batch_loss:.4f}")

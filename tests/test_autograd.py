@@ -313,10 +313,175 @@ def test_gelu_kernel_matches_plain_formula_bitwise(rng):
 def test_attention_kernel_matches_graph_attention_bitwise(rng, causal):
     t, d, heads = 29, 24, 3
     q, k, v = (rng.normal(size=(t, d)).astype(np.float32) for _ in range(3))
-    ref = ag.multihead_attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), heads,
-                                 causal=causal).data
+    ref = composed_attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), heads,
+                             causal=causal).data
     mask = ag.causal_mask(t) if causal else None
-    assert ag.attention_kernel(q, k, v, heads, mask).tobytes() == ref.tobytes()
+    assert ag.attention_kernel(q, k, v, heads, mask)[0].tobytes() == ref.tobytes()
+    assert ag.multihead_attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), heads,
+                                  causal=causal).data.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fused nodes: bit-identical to the primitive compositions they replace
+# ---------------------------------------------------------------------------
+
+def composed_lora(x, w, a, b, scale):
+    """The LoRA projection as seven primitive nodes (reference for lora_linear)."""
+    y = ag.matmul(x, w)
+    lo = ag.matmul(ag.matmul(x, ag.transpose(a, (1, 0))), ag.transpose(b, (1, 0)))
+    return ag.add(y, ag.mul(lo, np.asarray(scale, dtype=x.data.dtype)))
+
+
+def composed_attention(q, k, v, n_heads, causal=False):
+    """Attention as primitive nodes (reference for multihead_attention)."""
+    t, d = q.data.shape
+    dh = d // n_heads
+
+    def split(x):
+        return ag.transpose(ag.reshape(x, (t, n_heads, dh)), (1, 0, 2))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = ag.matmul(qh, ag.transpose(kh, (0, 2, 1)))
+    scores = ag.mul(scores, np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype))
+    if causal:
+        scores = ag.add(scores, ag.causal_mask(t, dtype=q.data.dtype))
+    ctx = ag.matmul(ag.softmax(scores, axis=-1), vh)
+    return ag.reshape(ag.transpose(ctx, (1, 0, 2)), (t, d))
+
+
+def _grads_of(build, leaves):
+    """Output bytes and each leaf's gradient bytes after backward of a
+    weighted sum of `build()`."""
+    for p in leaves:
+        p.grad = None
+    out = build()
+    weights = np.random.default_rng(0).normal(size=out.data.shape).astype(out.data.dtype)
+    ag.backward(ag.tsum(ag.mul(out, weights)))
+    return out.data.tobytes(), [None if p.grad is None else p.grad.tobytes() for p in leaves]
+
+
+def test_lora_linear_matches_composition_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(25):
+        t, d_in, d_out, r = (int(n) for n in rng.integers(1, 40, size=4))
+        x = ag.Tensor(rng.normal(size=(t, d_in)).astype(np.float32), trainable=True)
+        w = ag.Tensor(rng.normal(size=(d_in, d_out)).astype(np.float32))
+        a = ag.Tensor(rng.normal(size=(r, d_in)).astype(np.float32), trainable=True)
+        b = ag.Tensor(rng.normal(size=(d_out, r)).astype(np.float32), trainable=True)
+        scale = float(rng.uniform(0.1, 4.0))
+        fused = _grads_of(lambda: ag.lora_linear(x, w, a, b, scale), [x, a, b])
+        ref = _grads_of(lambda: composed_lora(x, w, a, b, scale), [x, a, b])
+        assert fused == ref
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_multihead_attention_matches_composition_bitwise(causal):
+    rng = np.random.default_rng(43)
+    for _ in range(25):
+        t, heads, dh = int(rng.integers(1, 30)), int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        q, k, v = (ag.Tensor(rng.normal(size=(t, heads * dh)).astype(np.float32),
+                             trainable=True) for _ in range(3))
+        fused = _grads_of(lambda: ag.multihead_attention(q, k, v, heads, causal), [q, k, v])
+        ref = _grads_of(lambda: composed_attention(q, k, v, heads, causal), [q, k, v])
+        assert fused == ref
+
+
+@pytest.mark.parametrize("targets", [("q", "k", "v", "o"), ("q", "v")])
+def test_decoder_gradients_match_composition_bitwise(monkeypatch, targets):
+    """The order in which the fused nodes hand back gradients keeps every
+    accumulation of the composed graph, so a training step is unchanged."""
+    from speechslu.config import DecoderConfig, LoraConfig
+    from speechslu.decoder import InstructionDecoder, expand_splice
+    from speechslu.tokenizer import build_vocabulary
+
+    rng = np.random.default_rng(47)
+    vocab = build_vocabulary(["turn on the light", "play some music"])
+    dec = InstructionDecoder(DecoderConfig(d_model=24, n_layers=2, n_heads=3, d_ff=40),
+                             vocab, rng)
+    dec.inject_lora(LoraConfig(rank=3, alpha=6.0, targets=targets), rng)
+    lora = list(dec.lora_parameters().values())
+    for p in lora:  # B starts at zero, which would hide the adapter's gradients
+        p.data = rng.normal(size=p.data.shape, scale=0.3).astype(np.float32)
+    placeholder = vocab.special_id("speech_placeholder")
+    ids = [vocab.special_id("begin_text"), placeholder] + vocab.tokenize("play some music")
+    seq = expand_splice(ids, 1, 7, placeholder)
+    speech = ag.Tensor(rng.normal(size=(7, 24)).astype(np.float32), trainable=True)
+    leaves = [speech, *lora]
+
+    def step():
+        for p in leaves:
+            p.grad = None
+        logits = dec.forward(seq, speech)
+        loss = ag.cross_entropy(ag.slice_rows(logits, 0, len(seq.ids) - 1), seq.ids[1:],
+                                reduction="sum")
+        ag.backward(loss)
+        return loss.data.tobytes(), [p.grad.tobytes() for p in leaves]
+
+    fused = step()
+    monkeypatch.setattr(ag, "lora_linear", composed_lora)
+    monkeypatch.setattr(ag, "multihead_attention", composed_attention)
+    assert step() == fused
+
+
+def test_gradcheck_lora_linear(rng):
+    x = t64(rng.normal(size=(5, 4)), name="x")
+    w = t64(rng.normal(size=(4, 3)), name="w")
+    a = t64(rng.normal(size=(2, 4)), name="a")
+    b = t64(rng.normal(size=(3, 2)), name="b")
+
+    def f():
+        out = ag.lora_linear(x, w, a, b, 1.5)
+        return ag.tsum(ag.mul(out, out))
+
+    assert_gradcheck(f, [x, w, a, b])
+
+
+def test_fused_ops_reject_non_finite_input(rng):
+    bad = rng.normal(size=(4, 6)).astype(np.float32)
+    bad[1, 2] = np.nan
+    ok = ag.Tensor(rng.normal(size=(4, 6)).astype(np.float32))
+    with pytest.raises(NonFiniteInput, match="lora_linear"):
+        ag.lora_linear(ag.Tensor(bad), ag.Tensor(np.eye(6, dtype=np.float32)),
+                       ag.Tensor(np.ones((2, 6), dtype=np.float32)),
+                       ag.Tensor(np.zeros((6, 2), dtype=np.float32)), 2.0)
+    for i in range(3):
+        qkv = [ok, ok, ok]
+        qkv[i] = ag.Tensor(bad)
+        with pytest.raises(NonFiniteInput, match="multihead_attention"):
+            ag.multihead_attention(*qkv, n_heads=2, causal=True)
+
+
+def test_frozen_base_weight_gets_no_gradient(rng):
+    x = ag.Tensor(rng.normal(size=(5, 6)).astype(np.float32), trainable=True)
+    w = ag.Tensor(rng.normal(size=(6, 4)).astype(np.float32), name="base")
+    a = ag.Tensor(rng.normal(size=(2, 6)).astype(np.float32), trainable=True)
+    b = ag.Tensor(rng.normal(size=(4, 2)).astype(np.float32), trainable=True)
+    ag.backward(ag.tsum(ag.lora_linear(x, w, a, b, 2.0)))
+    assert w.grad is None
+    assert all(p.grad is not None for p in (x, a, b))
+
+
+def test_vjps_skip_frozen_inputs(rng):
+    """No gradient is computed for an input that does not require one."""
+    def f32(*shape, trainable=False):
+        return ag.Tensor(rng.normal(size=shape).astype(np.float32), trainable=trainable)
+
+    x, w = f32(5, 6), f32(6, 6, trainable=True)
+    cases = [
+        (ag.matmul(x, w), [False, True]),
+        (ag.add(x, f32(6, trainable=True)), [False, True]),
+        (ag.mul(f32(5, 6, trainable=True), x), [True, False]),
+        (ag.layer_norm(w, f32(6), f32(6)), [True, False, False]),
+        (ag.conv1d(f32(4, 9), f32(3, 4, 3, trainable=True), f32(3), stride=2, padding=1),
+         [False, True, False]),
+        (ag.lora_linear(x, f32(6, 4), f32(2, 6, trainable=True), f32(4, 2), 2.0),
+         [False, False, False, True, False]),
+        (ag.multihead_attention(f32(5, 6), f32(5, 6, trainable=True), f32(5, 6), 2,
+                                causal=True), [False, True, False]),
+    ]
+    for node, needed in cases:
+        grads = node._vjp(np.ones_like(node.data))
+        assert [g is not None for g in grads] == needed, node.op
 
 
 # ---------------------------------------------------------------------------

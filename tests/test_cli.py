@@ -73,7 +73,10 @@ def test_config_rejects_unknown_keys():
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 5
+    for name in ("gradient-check", "lora-linear-vjp", "causal-attention-vjp",
+                 "lora-identity", "shape-law-3000-1500-375"):
+        assert f"PASS {name} " in out
     assert "FAIL" not in out
 
 
@@ -219,3 +222,55 @@ def test_train_rejects_a_record_id_in_two_manifests(tmp_path, capsys):
     assert "ic-0" in err
     assert str(tmp_path / "a" / "ic.jsonl") in err and str(tmp_path / "b" / "ic.jsonl") in err
     assert not (tmp_path / "run" / "checkpoint.sslc").exists()
+
+
+def _ic_records(n):
+    return [ManifestRecord(id=f"ic-{i}", audio="synthetic:turn on the light",
+                           transcript="turn on the light", task="IC",
+                           annotation={"intent": "lights_on"}) for i in range(n)]
+
+
+def test_train_rejects_a_manifest_repeating_an_id(tmp_path, capsys):
+    records = _ic_records(3)
+    path = tmp_path / "dup.jsonl"
+    write_manifest(path, records + [records[1]])
+    cfg_path = tmp_path / "run.json"
+    save_config(micro_run_config(seed=5), cfg_path)
+    assert main(["train", "--config", str(cfg_path), "--manifest", str(path),
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:4: duplicate record id 'ic-1' (first at line 2)" in err
+    assert not (tmp_path / "run" / "checkpoint.sslc").exists()
+
+
+def test_infer_rejects_a_malformed_manifest_line(trained_run, tmp_path, capsys):
+    _, _, run_dir = trained_run
+    path = tmp_path / "broken.jsonl"
+    write_manifest(path, _ic_records(4))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2][:25]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["infer", "--run", str(run_dir), "--manifest", str(path),
+                 "--strategy", "alone", "--out", str(tmp_path / "p.jsonl")]) == 2
+    assert f"{path}:3: malformed JSON" in capsys.readouterr().err
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_infer_rejects_a_checkpoint_of_another_config(trained_run, tmp_path, capsys):
+    import shutil
+
+    from speechslu.checkpoint import load_checkpoint
+    from speechslu.config import config_hash
+
+    _, data, run_dir = trained_run
+    edited = tmp_path / "run"
+    shutil.copytree(run_dir, edited)
+    cfg = load_config(edited / "config.json")
+    cfg.lora.alpha *= 2
+    save_config(cfg, edited / "config.json")
+    _, saved_hash = load_checkpoint(edited / "checkpoint.sslc")
+    assert main(["infer", "--run", str(edited), "--manifest", str(data / "ic.jsonl"),
+                 "--strategy", "alone", "--out", str(tmp_path / "p.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert str(edited) in err and saved_hash in err and config_hash(cfg) in err
+    assert not (tmp_path / "p.jsonl").exists()

@@ -335,6 +335,19 @@ def test_trace_records_lr_and_pre_clip_gradient_norm(micro_corpus, monkeypatch):
     assert [row.csv().count(",") for row in result.trace] == [3] * len(result.trace)
 
 
+def test_trace_records_step_time(micro_corpus):
+    records = micro_corpus["IC"][:3] + micro_corpus["SF"][:2]
+    result = train(records, build_tiny_model(records, seed=8, batch_size=2), epochs=2)
+    by_step: dict[int, set] = {}
+    for row in result.trace:
+        by_step.setdefault(row.step, set()).add(row.step_ms)
+    assert sorted(by_step) == list(range(1, result.steps + 1))
+    for times in by_step.values():
+        assert len(times) == 1 and next(iter(times)) > 0
+    # the CSV keeps its four columns
+    assert [row.csv().count(",") for row in result.trace] == [3] * len(result.trace)
+
+
 def test_two_runs_same_seed_bitwise_identical_weights(micro_corpus):
     records = micro_corpus["IC"][:3]
     hashes = []
