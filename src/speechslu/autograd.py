@@ -22,6 +22,17 @@ The `*_kernel` functions are the plain-array forms of layer norm, GELU,
 attention and the feed-forward block. The graph ops compute their
 forwards with them, and the frozen encoder and the KV-cached decoder
 call them directly, so each formula is written once.
+
+`gelu_kernel` keeps the plain formula's bits (`x**3`, not `x*x*x`), but
+for float32 arrays of at least `_GUARDED_CUBE_MIN` elements it avoids
+numpy's scalar float32 pow for negative bases: it takes the cube in
+float64, rounds it to float32, and keeps the resulting tanh term only
+where that value and its two bit neighbours all give the same one
+(Ziv's rounding test); the rest are recomputed with `x**3`. This is exact
+because numpy's float32 `x**3` lies within one ulp of the rounded float64
+cube, and is finite exactly when it is, for every finite float32 (an
+exhaustive sweep; `speechslu selftest` samples it again). Float64 arrays
+and smaller float32 arrays use `x**3` directly.
 """
 
 from __future__ import annotations
@@ -146,6 +157,51 @@ def layer_norm_kernel(x: np.ndarray, g: np.ndarray, b: np.ndarray,
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
+# Smallest float32 array whose cube goes through `_guarded_tanh_term`:
+# below it the guard's fixed cost exceeds what it saves (measured crossover
+# between 384 and 512 elements).
+_GUARDED_CUBE_MIN = 512
+
+
+def _tanh_term(x: np.ndarray, y: np.ndarray, c, k) -> np.ndarray:
+    """tanh(c * (x + k * y)), written into `y`, with y standing for x**3."""
+    y *= k
+    y += x
+    y *= c
+    np.tanh(y, out=y)
+    return y
+
+
+def _guarded_tanh_term(x: np.ndarray, c, k) -> np.ndarray:
+    """`_tanh_term(x, x**3)` for float32 `x`, bit for bit, without paying
+    numpy's scalar pow for a negative base on every element.
+
+    r = float32(float64(x)**3) is within one ulp of numpy's float32 `x**3`
+    and finite exactly when it is (checked on every finite float32), so
+    the true cube is r or one of its two bit neighbours. Where all three
+    give the same tanh term (and r is finite) that term is the answer;
+    the remaining elements are recomputed from `x**3` itself. Both `**`
+    and `np.tanh` treat each element on its own, so the subset gets the
+    bits the whole array would.
+    """
+    # overflow and NaN neighbours only mark elements unsure; their warnings
+    # come from the exact recomputation below, as they would from x**3
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.square(x, dtype=np.float64)
+        r *= x
+        t = r.astype(np.float32)
+        del r
+        unsure = ~np.isfinite(t)
+        bits = t.view(np.int32)
+        lo = _tanh_term(x, (bits - 1).view(np.float32), c, k)
+        hi = _tanh_term(x, (bits + 1).view(np.float32), c, k)
+        _tanh_term(x, t, c, k)  # bits now holds t's tanh term, as lo/hi do
+        unsure |= bits != lo.view(np.int32)
+        unsure |= bits != hi.view(np.int32)
+    if unsure.any():
+        xu = x[unsure]
+        t[unsure] = _tanh_term(xu, xu**3, c, k)
+    return t
 
 
 def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,11 +209,10 @@ def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(_GELU_C, dtype=x.dtype)
     k = np.asarray(_GELU_K, dtype=x.dtype)
     # x**3, not x*x*x: the two differ in the last bit on some elements
-    t = x**3
-    t *= k
-    t += x
-    t *= c
-    np.tanh(t, out=t)
+    if x.dtype == np.float32 and x.size >= _GUARDED_CUBE_MIN:
+        t = _guarded_tanh_term(x, c, k)
+    else:
+        t = _tanh_term(x, x**3, c, k)
     out = 0.5 * x
     out *= 1.0 + t
     return out, t

@@ -136,6 +136,15 @@ def _join(preds: list[dict], records) -> list[tuple[dict, object]]:
     return [(p, by_id[p["id"]]) for p in preds]
 
 
+# the parsed fields each task's metric reads; None in any is a parse failure
+_PARSED_FIELDS = {"ic": ("intent",), "sf": ("entities",), "binary": ("binary",),
+                  "pp": ("intent", "entities")}
+
+
+def _share(flags: list[bool]) -> float:
+    return sum(flags) / len(flags) if flags else 0.0
+
+
 def cmd_evaluate(args) -> int:
     preds, meta = read_predictions(args.pred)
     records, _ = read_manifest(args.gold)
@@ -173,6 +182,10 @@ def cmd_evaluate(args) -> int:
         report["binary_accuracy"] = binary_accuracy(guesses, golds, labels)
     else:
         raise ConfigError(f"unknown evaluate task {args.task!r}")
+    if args.task in _PARSED_FIELDS:
+        report["parse_failure_rate"] = _share(
+            [any(p.get(f) is None for f in _PARSED_FIELDS[args.task]) for p, _ in joined])
+    report["truncation_rate"] = _share([p.get("truncated") is True for p, _ in joined])
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -186,6 +199,7 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_selftest(args) -> int:
+    import math
     import time
 
     from . import autograd as ag
@@ -276,11 +290,38 @@ def cmd_selftest(args) -> int:
         if out.data.shape[0] != 375:
             raise AssertionError(f"got {out.data.shape[0]} embeddings, want 375")
 
+    def gelu_cube():
+        # gelu_kernel's guarded cube is bit-exact only if numpy's float32
+        # x**3 is within one ulp of float32(float64(x)**3), with the same
+        # finiteness; sample that on bit patterns of every sign and exponent
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 2**32, size=1 << 20, dtype=np.uint32).view(np.float32)
+        x = x[np.isfinite(x)]
+        xd = x.astype(np.float64)
+        with np.errstate(over="ignore"):
+            exact = x**3
+            r = (xd * xd * xd).astype(np.float32)
+        ulps = np.abs(exact.view(np.int32).astype(np.int64) - r.view(np.int32))
+        bad = int(((ulps > 1) | (np.isfinite(exact) != np.isfinite(r))).sum())
+        if bad:
+            raise AssertionError(
+                f"x**3 is not within one ulp of the float64 cube on {bad} of "
+                f"{x.size} samples: gelu_kernel is still a GELU, but no longer "
+                f"matches x**3 bit for bit")
+        x = (rng.normal(size=(300, 128)) * 3).astype(np.float32)
+        c = np.float32(math.sqrt(2.0 / math.pi))
+        k = np.float32(0.044715)
+        t = np.tanh(c * (x + k * x**3))
+        out, got = ag.gelu_kernel(x)
+        if got.tobytes() != t.tobytes() or out.tobytes() != (0.5 * x * (1.0 + t)).tobytes():
+            raise AssertionError("gelu_kernel differs from the plain x**3 formula")
+
     check("gradient-check", gradient_check)
     check("lora-linear-vjp", lora_linear_vjp)
     check("causal-attention-vjp", causal_attention_vjp)
     check("lora-identity", lora_identity)
     check("shape-law-3000-1500-375", shape_law)
+    check("gelu-cube", gelu_cube)
     if failures:
         print(f"selftest: {len(failures)} failure(s)")
         return 1
@@ -329,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("selftest", help="gradient, LoRA-identity and shape-law checks")
+    p = sub.add_parser("selftest", help="gradient, LoRA-identity, shape-law and GELU-cube checks")
     p.set_defaults(func=cmd_selftest)
     return parser
 

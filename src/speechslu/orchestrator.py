@@ -98,7 +98,8 @@ def parse_entities(text: str) -> list[tuple[str, str]] | None:
     for candidate in candidates:
         try:
             obj = json.loads(candidate)
-        except (json.JSONDecodeError, ValueError):
+        except (json.JSONDecodeError, ValueError, RecursionError):
+            # RecursionError: nesting deeper than json's recursion limit
             continue
         if isinstance(obj, dict):
             out = []
@@ -128,15 +129,12 @@ def parse_slu_output(text: str, task: str, labels=None,
                      binary_labels=None) -> dict:
     """Structured fields from raw model text; never raises."""
     out: dict = {"intent": None, "entities": None, "binary": None}
-    try:
-        if task == "IC":
-            out["intent"] = parse_intent(text, list(labels or []))
-        elif task == "SF":
-            out["entities"] = parse_entities(text)
-        elif task in ("SA", "SER", "STER"):
-            out["binary"] = parse_binary(text, tuple(binary_labels or ("yes", "no")))
-    except Exception:
-        pass
+    if task == "IC":
+        out["intent"] = parse_intent(text, list(labels or []))
+    elif task == "SF":
+        out["entities"] = parse_entities(text)
+    elif task in ("SA", "SER", "STER"):
+        out["binary"] = parse_binary(text, tuple(binary_labels or ("yes", "no")))
     return out
 
 

@@ -309,6 +309,115 @@ def test_gelu_kernel_matches_plain_formula_bitwise(rng):
     assert ag.gelu(ag.Tensor(x)).data.tobytes() == ref.tobytes()
 
 
+def plain_gelu(x):
+    """The reference GELU: x**3, *k, +x, *c, tanh, then 0.5x(1+t)."""
+    c = np.asarray(math.sqrt(2.0 / math.pi), dtype=x.dtype)
+    k = np.asarray(0.044715, dtype=x.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = x**3
+        t *= k
+        t += x
+        t *= c
+        t = np.tanh(t)
+        return 0.5 * x * (1.0 + t), t
+
+
+def assert_gelu_kernel_bitwise(x):
+    ref_out, ref_t = plain_gelu(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, t = ag.gelu_kernel(x)
+    assert out.dtype == t.dtype == x.dtype
+    assert t.tobytes() == ref_t.tobytes()
+    assert out.tobytes() == ref_out.tobytes()
+
+
+def _padded(values, rng, size=2048):
+    """`values` scattered through a float32 array of `size` normal samples."""
+    x = (rng.normal(size=size) * 2).astype(np.float32)
+    x[rng.choice(size, size=len(values), replace=False)] = values
+    return x
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e-20, 1e-10, 1e-5, 1e-2, 0.3, 1.0, 2.0,
+                                   4.0, 10.0, 1e2, 1e4, 1e8, 1e13])
+def test_gelu_kernel_bitwise_across_scales(rng, scale):
+    n = ag._GUARDED_CUBE_MIN
+    near_min = [(m,) for m in (n - 1, n, n + 1) if m > 0]
+    for shape in [(3, 7), *near_min, (37, 53), (1500, 128), (64, 3000)]:
+        assert_gelu_kernel_bitwise((rng.normal(size=shape) * scale).astype(np.float32))
+    # a transposed (non-contiguous) input
+    assert_gelu_kernel_bitwise((rng.normal(size=(128, 40)) * scale).astype(np.float32).T)
+
+
+def test_gelu_kernel_bitwise_on_random_bit_patterns(rng):
+    x = rng.integers(0, 2**32, size=2_000_000, dtype=np.uint32).view(np.float32)
+    assert_gelu_kernel_bitwise(x[np.isfinite(x)])
+
+
+def test_gelu_kernel_bitwise_on_zeros_denormals_and_overflowing_cubes(rng):
+    tiny = np.finfo(np.float32).smallest_subnormal
+    denormals = np.concatenate([
+        [tiny, 2 * tiny, 3 * tiny, np.finfo(np.float32).smallest_normal * 0.999],
+        rng.integers(1, 2**23, size=200, dtype=np.uint32).view(np.float32)])
+    big = [5e12, 8e12, 3e38, np.finfo(np.float32).max, 6.98e12, 6.99e12]
+    values = np.concatenate([[0.0, -0.0], denormals, -denormals, big,
+                             np.negative(big)]).astype(np.float32)
+    assert_gelu_kernel_bitwise(values)
+    assert_gelu_kernel_bitwise(_padded(values, rng))
+    for v in values:  # each alone, below the size constant
+        assert_gelu_kernel_bitwise(np.array([v], dtype=np.float32))
+
+
+def test_gelu_kernel_bitwise_on_nan_and_inf(rng):
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf], dtype=np.float32)
+    payloads = (rng.integers(1, 2**23, size=50, dtype=np.uint32)
+                | np.uint32(0x7F800000)).view(np.float32)
+    for values in (specials, np.concatenate([specials, payloads, -payloads])):
+        assert_gelu_kernel_bitwise(values)
+        assert_gelu_kernel_bitwise(_padded(values, rng))
+    for v in specials:
+        with pytest.raises(NonFiniteInput, match="gelu"):
+            ag.gelu(ag.Tensor(_padded([v], rng)))
+
+
+def test_gelu_kernel_float64_and_small_inputs_skip_the_guard(rng, monkeypatch):
+    calls = []
+    guarded = ag._guarded_tanh_term
+
+    def counting(x, c, k):
+        calls.append(x.size)
+        return guarded(x, c, k)
+
+    monkeypatch.setattr(ag, "_guarded_tanh_term", counting)
+    n = ag._GUARDED_CUBE_MIN
+    below = [(1, 80), (1, 128)] + ([(n - 1,)] if n > 1 else [])
+    for shape in below + [(1500, 128)]:
+        assert_gelu_kernel_bitwise(rng.normal(size=shape) * 3)  # float64
+    assert calls == []
+    for shape in below:
+        assert_gelu_kernel_bitwise((rng.normal(size=shape) * 3).astype(np.float32))
+    assert calls == []
+    assert_gelu_kernel_bitwise((rng.normal(size=n) * 3).astype(np.float32))
+    assert calls == [n]
+
+
+def test_float32_cube_is_within_one_ulp_of_the_float64_cube(rng):
+    """The guarded cube's premise, on bit patterns of both signs and every
+    exponent: numpy's float32 x**3 is float32(float64(x)**3) or one of its
+    bit neighbours, and is finite exactly when that is."""
+    x = rng.integers(0, 2**32, size=1_000_000, dtype=np.uint32).view(np.float32)
+    x = x[np.isfinite(x)]
+    assert (x < 0).any() and (x > 0).any()
+    assert len(np.unique(x.view(np.uint32) >> 23 & 0xFF)) == 255
+    xd = x.astype(np.float64)
+    with np.errstate(over="ignore"):
+        exact = x**3
+        r = (xd * xd * xd).astype(np.float32)
+    ulps = np.abs(exact.view(np.int32).astype(np.int64) - r.view(np.int32))
+    assert ulps.max() <= 1
+    assert (np.isfinite(exact) == np.isfinite(r)).all()
+
+
 @pytest.mark.parametrize("causal", [False, True])
 def test_attention_kernel_matches_graph_attention_bitwise(rng, causal):
     t, d, heads = 29, 24, 3

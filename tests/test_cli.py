@@ -73,9 +73,9 @@ def test_config_rejects_unknown_keys():
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
     for name in ("gradient-check", "lora-linear-vjp", "causal-attention-vjp",
-                 "lora-identity", "shape-law-3000-1500-375"):
+                 "lora-identity", "shape-law-3000-1500-375", "gelu-cube"):
         assert f"PASS {name} " in out
     assert "FAIL" not in out
 
@@ -177,6 +177,36 @@ def test_evaluate_from_files_needs_no_model(tmp_path):
     assert main(["evaluate", "--task", "ic", "--pred", str(preds_path),
                  "--gold", str(gold_path), "--out", str(report)]) == 0
     assert json.loads(report.read_text())["intent_accuracy"] == 1.0
+
+
+def test_evaluate_reports_parse_failure_and_truncation_rates(tmp_path):
+    annotation = {"intent": "alarm_set", "entities": [["time", "9 am"]],
+                  "label": "yes", "binary_labels": ["yes", "no"]}
+    gold_path = tmp_path / "gold.jsonl"
+    write_manifest(gold_path, [ManifestRecord(id=rid, audio="synthetic:x",
+                                              transcript="set an alarm", task="SF",
+                                              annotation=annotation)
+                               for rid in "abcd"])
+    # id: (intent, entities, binary, truncated)
+    fields = {"a": ("alarm_set", [["time", "9 am"]], "yes", False),
+              "b": (None, [["time", "9 am"]], None, True),
+              "c": ("alarm_set", None, None, False),
+              "d": ("alarm_set", [], None, True)}
+    preds_path = tmp_path / "p.jsonl"
+    preds_path.write_text("".join(
+        json.dumps({"id": rid, "task": "SF", "strategy": "alone", "intent": intent,
+                    "entities": entities, "binary": binary, "transcript": None,
+                    "raw_text": "", "truncated": truncated, "n_generations": 1}) + "\n"
+        for rid, (intent, entities, binary, truncated) in fields.items()),
+        encoding="utf-8")
+    expected = {"ic": 0.25, "sf": 0.25, "pp": 0.5, "binary": 0.75, "asr": None}
+    for task, parse_failure_rate in expected.items():
+        report = tmp_path / f"{task}.json"
+        assert main(["evaluate", "--task", task, "--pred", str(preds_path),
+                     "--gold", str(gold_path), "--out", str(report)]) == 0
+        out = json.loads(report.read_text())
+        assert out.get("parse_failure_rate") == parse_failure_rate
+        assert out["truncation_rate"] == 0.5
 
 
 def _two_corpora(root, ids):

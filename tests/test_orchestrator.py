@@ -61,6 +61,13 @@ def test_parse_entities_no_object_is_none():
     assert parse_entities("I cannot determine this") is None
 
 
+def test_parse_entities_nesting_past_the_recursion_limit_is_none():
+    text = '{"a": ' + "[" * 100000 + "]" * 100000 + "}"
+    assert parse_entities(text) is None
+    assert parse_slu_output(text, "SF") == {"intent": None, "entities": None,
+                                            "binary": None}
+
+
 def test_parse_binary_first_occurrence():
     assert parse_binary("no wait, yes", ("yes", "no")) == "no"
     assert parse_binary("positive vibes", ("positive", "negative")) == "positive"
