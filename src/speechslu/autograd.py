@@ -33,6 +33,17 @@ because numpy's float32 `x**3` lies within one ulp of the rounded float64
 cube, and is finite exactly when it is, for every finite float32 (an
 exhaustive sweep; `speechslu selftest` samples it again). Float64 arrays
 and smaller float32 arrays use `x**3` directly.
+
+`attention_kernel` bounds its scores by `_SCORE_BUDGET` (2^20 elements,
+4 MiB of float32) unless its caller keeps the softmax weights, as the graph
+op's VJP does: when all heads' [Tq, Tk] scores exceed the budget, the heads
+run in groups that fit it (at least one head per group) through one reused
+buffer. Grouping by head is exact because numpy's batched matmul already
+makes one GEMM per head and softmax rows never span heads; splitting by query
+rows is not, since float32 GEMM rows depend on the row count. Every shape
+within the budget (all training, the micro config, and the decoder calls of
+a paper-scale request, whose prompts stay under 724 positions) runs the
+all-heads code.
 """
 
 from __future__ import annotations
@@ -228,12 +239,24 @@ def feed_forward_kernel(h: np.ndarray, w1: np.ndarray, b1: np.ndarray,
     return out
 
 
+# Score elements an `attention_kernel` call holds at once when its caller
+# does not keep the softmax weights (4 MiB of float32): above it, heads run in
+# groups that fit it, or one at a time where one head's scores exceed it.
+_SCORE_BUDGET = 1 << 20
+
+
 def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                     mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     mask: np.ndarray | None = None,
+                     keep_weights: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Scaled dot-product attention of q [Tq, d] over k, v [Tk, d], and the
     softmax weights [heads, Tq, Tk] its gradient reuses.
 
-    `mask` is additive and broadcasts to [Tq, Tk] (-inf hides a key).
+    `mask` is additive and broadcasts to [Tq, Tk] (-inf hides a key). When
+    the scores of all heads exceed `_SCORE_BUDGET` elements and `keep_weights`
+    is not set, the heads run in groups of at most the budget (at least one
+    head) through one reused buffer, and the weights returned are None. Each
+    head is its own GEMM and softmax rows never span heads, so the groups give
+    the bits of all heads at once.
     """
     tq, d = q.shape
     tk = k.shape[0]
@@ -241,14 +264,30 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     qh = q.reshape(tq, n_heads, dh).transpose(1, 0, 2)
     kh = k.reshape(tk, n_heads, dh).transpose(1, 2, 0)
     vh = v.reshape(tk, n_heads, dh).transpose(1, 0, 2)
-    w = qh @ kh
-    w *= np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    if keep_weights or n_heads * tq * tk <= _SCORE_BUDGET:
+        w = _softmax_scores(qh @ kh, scale, mask)
+        return (w @ vh).transpose(1, 0, 2).reshape(tq, d), w
+    group = max(1, _SCORE_BUDGET // (tq * tk))
+    out = np.empty((tq, n_heads, dh), dtype=q.dtype)
+    buf = np.empty((min(group, n_heads), tq, tk), dtype=q.dtype)
+    for h0 in range(0, n_heads, group):
+        h1 = min(h0 + group, n_heads)
+        w = np.matmul(qh[h0:h1], kh[h0:h1], out=buf[:h1 - h0])
+        out[:, h0:h1] = (_softmax_scores(w, scale, mask) @ vh[h0:h1]).transpose(1, 0, 2)
+    return out.reshape(tq, d), None
+
+
+def _softmax_scores(w: np.ndarray, scale: np.ndarray,
+                    mask: np.ndarray | None) -> np.ndarray:
+    """softmax(w * scale + mask) over the last axis, in place."""
+    w *= scale
     if mask is not None:
         w += mask
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    return (w @ vh).transpose(1, 0, 2).reshape(tq, d), w
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +592,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         _check_finite("multihead_attention", x.data)
     dh = d // n_heads
     mask = causal_mask(t, dtype=q.data.dtype) if causal else None
-    out, w = attention_kernel(q.data, k.data, v.data, n_heads, mask)
+    out, w = attention_kernel(q.data, k.data, v.data, n_heads, mask, keep_weights=True)
 
     def heads(x):  # [T, d] -> [heads, T, dh] view
         return x.reshape(t, n_heads, dh).transpose(1, 0, 2)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
+
 MAGIC = b"SSLC"
 FORMAT_VERSION = 1
 
@@ -37,7 +39,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_hash: str) -> No
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes()
-    Path(path).write_bytes(bytes(out))
+    write_atomic(path, bytes(out))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .config import RunConfig, load_config, save_config
 from .errors import ConfigError
+from .fileio import write_atomic
 from .datasets import (MicroCorpusSpec, build_slurp_zeroshot, generate_micro_corpus,
                        read_manifest, write_manifest)
 from .metrics import (binary_accuracy, corpus_wer, intent_accuracy,
@@ -119,7 +120,7 @@ def cmd_infer(args) -> int:
     payload = predictions_to_jsonl(pairs, model.config_hash, args.strategy)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(payload, encoding="utf-8")
+    write_atomic(out, payload)
     _log(f"wrote {len(pairs)} predictions to {out}")
     return 0
 
@@ -189,7 +190,7 @@ def cmd_evaluate(args) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_atomic(args.out, text + "\n")
     print(text)
     return 0
 

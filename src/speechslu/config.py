@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .fileio import write_atomic
 
 
 @dataclass
@@ -189,5 +190,4 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")

@@ -16,6 +16,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from .fileio import write_atomic
+
 SPECIAL_NAMES = ("begin_text", "header_open", "header_close", "end_turn",
                  "speech_placeholder", "pad")
 
@@ -85,8 +87,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         payload = {"specials": self.specials, "words": self.words}
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        write_atomic(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

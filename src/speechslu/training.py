@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +14,7 @@ from . import autograd as ag
 from .datasets import ManifestRecord
 from .decoder import MultimodalSequence, expand_splice
 from .errors import MissingAnnotation, NonFiniteInput, TrainingDiverged
+from .fileio import write_atomic
 from .model import SluModel
 from .optim import AdamWState, adamw_step, clip_global_norm
 from .orchestrator import collect_inventories, spec_for_record, task_instruction
@@ -231,4 +231,4 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
 def write_trace_csv(path, result: TrainResult, config_hash: str) -> None:
     lines = [f"# config_hash={config_hash}", "step,task,config,loss"]
     lines.extend(row.csv() for row in result.trace)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from speechslu import fileio
 from speechslu.config import (AlignerConfig, DecoderConfig, EncoderConfig,
                               LoraConfig, RunConfig, TrainConfig)
 from speechslu.datasets import MicroCorpusSpec, generate_micro_corpus
@@ -45,3 +46,14 @@ def flat_records(micro_corpus):
 @pytest.fixture(scope="session")
 def tiny_model(flat_records):
     return build_tiny_model(flat_records, seed=1)
+
+
+@pytest.fixture
+def fail_writes(monkeypatch):
+    """Call it to make every later atomic write fail after its bytes reached
+    the temporary file (`monkeypatch.undo()` ends that)."""
+    def arm():
+        def boom(fd):
+            raise OSError("disk full")
+        monkeypatch.setattr(fileio.os, "fsync", boom)
+    return arm

@@ -1,6 +1,7 @@
 """Substrate tests: primitive contracts and finite-difference gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,70 @@ def test_attention_kernel_matches_graph_attention_bitwise(rng, causal):
     assert ag.attention_kernel(q, k, v, heads, mask)[0].tobytes() == ref.tobytes()
     assert ag.multihead_attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), heads,
                                   causal=causal).data.tobytes() == ref.tobytes()
+
+
+def all_heads_attention(q, k, v, n_heads, mask=None):
+    """`attention_kernel` with every head's scores in one array (the reference
+    its head groups must match byte for byte)."""
+    tq, d = q.shape
+    tk = k.shape[0]
+    dh = d // n_heads
+    qh = q.reshape(tq, n_heads, dh).transpose(1, 0, 2)
+    kh = k.reshape(tk, n_heads, dh).transpose(1, 2, 0)
+    vh = v.reshape(tk, n_heads, dh).transpose(1, 0, 2)
+    w = qh @ kh
+    w *= np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    if mask is not None:
+        w += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return (w @ vh).transpose(1, 0, 2).reshape(tq, d), w
+
+
+# (tq, tk, d, heads): below the budget, exactly at it, then above it in
+# groups of one head (a single head too), two groups of two heads, and two
+# groups of two plus a short last group of one
+ATTENTION_SHAPES = [(29, 29, 24, 3), (1, 700, 64, 2), (512, 1024, 16, 2),
+                    (1500, 1500, 64, 2), (1500, 1500, 40, 4), (1025, 1023, 16, 4),
+                    (1100, 1000, 16, 1), (600, 800, 16, 4), (700, 500, 40, 5)]
+
+
+@pytest.mark.parametrize("tq, tk, d, heads", ATTENTION_SHAPES)
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_kernel_head_groups_match_all_heads_bitwise(rng, tq, tk, d, heads, masked):
+    q = (rng.normal(size=(tq, d)) * 2).astype(np.float32)
+    k, v = (rng.normal(size=(tk, d)).astype(np.float32) for _ in range(2))
+    mask = None
+    if masked:  # causal where square, else random holes that leave key 0 visible
+        mask = (ag.causal_mask(tq) if tq == tk else
+                np.where(rng.random((tq, tk)) < 0.3, -np.inf, 0.0).astype(np.float32))
+        mask[:, 0] = 0.0
+    ref, ref_w = all_heads_attention(q, k, v, heads, mask)
+    out, w = ag.attention_kernel(q, k, v, heads, mask)
+    assert out.tobytes() == ref.tobytes()
+    if heads * tq * tk <= ag._SCORE_BUDGET:
+        assert w.tobytes() == ref_w.tobytes()
+    else:
+        assert w is None
+    kept, kept_w = ag.attention_kernel(q, k, v, heads, mask, keep_weights=True)
+    assert kept.tobytes() == ref.tobytes() and kept_w.tobytes() == ref_w.tobytes()
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+def test_attention_above_the_budget_holds_one_head_of_scores(rng, heads):
+    """[1500, 1500] scores exceed the budget, so one head at a time runs
+    through one buffer: measured 1.05-1.07 head's worth of scores at peak,
+    where every head at once held `heads` of them."""
+    q, k, v = (rng.normal(size=(1500, 64)).astype(np.float32) for _ in range(3))
+    ag.attention_kernel(q, k, v, heads)
+    tracemalloc.start()
+    try:
+        ag.attention_kernel(q, k, v, heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 1500 * 1500 * 4
 
 
 # ---------------------------------------------------------------------------

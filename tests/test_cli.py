@@ -179,6 +179,22 @@ def test_evaluate_from_files_needs_no_model(tmp_path):
     assert json.loads(report.read_text())["intent_accuracy"] == 1.0
 
 
+def test_infer_and_evaluate_failing_midway_keep_the_previous_files(trained_run, tmp_path,
+                                                                    fail_writes):
+    _, data, run_dir = trained_run
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
+    infer = ["infer", "--run", str(run_dir), "--manifest", str(data / "ic.jsonl"),
+             "--strategy", "alone", "--out", str(preds)]
+    evaluate = ["evaluate", "--task", "ic", "--pred", str(preds),
+                "--gold", str(data / "ic.jsonl"), "--out", str(report)]
+    assert main(infer) == 0 and main(evaluate) == 0
+    written = preds.read_bytes(), report.read_bytes()
+    fail_writes()
+    assert main(infer) == 1 and main(evaluate) == 1
+    assert (preds.read_bytes(), report.read_bytes()) == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl", "report.json"]
+
+
 def test_evaluate_reports_parse_failure_and_truncation_rates(tmp_path):
     annotation = {"intent": "alarm_set", "entities": [["time", "9 am"]],
                   "label": "yes", "binary_labels": ["yes", "no"]}

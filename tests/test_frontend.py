@@ -1,15 +1,20 @@
 """Log-mel frontend and frozen-encoder contracts."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
+from speechslu import audio
 from speechslu import autograd as ag
-from speechslu.audio import (LOG_FLOOR, MelSpectrogram, load_mel, log_mel,
-                             mel_filter_centers, mel_filterbank, resolve_audio,
-                             save_mel, synthesize_mel)
+from speechslu.audio import (HOP_SECONDS, LOG_FLOOR, WINDOW_SECONDS, MelSpectrogram,
+                             load_mel, load_wav, log_mel, mel_filter_centers,
+                             mel_filterbank, resolve_audio, save_mel, synthesize_mel)
 from speechslu.config import EncoderConfig
 from speechslu.encoder import SpeechEncoder
-from speechslu.errors import NonFiniteInput, ShapeMismatch
+from speechslu.errors import ConfigError, NonFiniteInput, ShapeMismatch
 from speechslu.initutil import param_hash, sinusoid_table
 
 SR = 16000
@@ -115,6 +120,125 @@ def test_wav_input_pcm16_and_float32(tmp_path):
                                atol=0.01)
 
 
+def _tone(seconds=1.0, amplitude=0.3, freq=440.0):
+    t = np.arange(int(SR * seconds)) / SR
+    return amplitude * np.sin(2 * np.pi * freq * t)
+
+
+def _write_pcm24(path, samples: np.ndarray) -> None:
+    """A mono 24-bit PCM WAV (scipy's writer has no 24-bit output)."""
+    body = b"".join(int(s).to_bytes(3, "little", signed=True) for s in samples)
+    fmt = struct.pack("<HHIIHH", 1, 1, SR, SR * 3, 3, 24)
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(body))
+                     + b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                     + b"data" + struct.pack("<I", len(body)) + body)
+
+
+@pytest.mark.parametrize("width", ["pcm8", "pcm16", "pcm24", "pcm32", "pcm16-stereo"])
+def test_wav_pcm_widths_load_within_one_quantization_step(tmp_path, width):
+    tone = _tone()
+    path = tmp_path / f"{width}.wav"
+    if width == "pcm8":
+        step = 1 / 128
+        wavfile.write(path, SR, np.round(tone * 128 + 128).astype(np.uint8))
+    elif width == "pcm16":
+        step = 1 / 32768
+        wavfile.write(path, SR, np.round(tone * 32767).astype(np.int16))
+    elif width == "pcm24":
+        step = 2.0**-23
+        _write_pcm24(path, np.round(tone * 2**23).astype(np.int64))
+    elif width == "pcm32":
+        step = 2.0**-31
+        wavfile.write(path, SR, np.round(tone * 2**31).astype(np.int32))
+    else:
+        step = 1 / 32768
+        pcm = np.round(tone * 32767).astype(np.int16)
+        wavfile.write(path, SR, np.stack([pcm, pcm], axis=1))
+    wav, sr = load_wav(path)
+    assert sr == SR and wav.dtype == np.float64 and wav.shape == tone.shape
+    np.testing.assert_allclose(wav, tone, rtol=0, atol=step)
+
+
+def test_wav_pcm16_and_float_load_unchanged(tmp_path):
+    tone = _tone()
+    pcm = np.round(tone * 32767).astype(np.int16)
+    wavfile.write(tmp_path / "pcm.wav", SR, pcm)
+    wavfile.write(tmp_path / "f32.wav", SR, tone.astype(np.float32))
+    assert load_wav(tmp_path / "pcm.wav")[0].tobytes() == (pcm / 32768.0).tobytes()
+    assert (load_wav(tmp_path / "f32.wav")[0].tobytes()
+            == tone.astype(np.float32).astype(np.float64).tobytes())
+
+
+def test_wav_with_an_unsupported_sample_type_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(audio.wavfile, "read", lambda path: (SR, np.zeros(8, dtype=np.int64)))
+    with pytest.raises(ConfigError, match=r"odd\.wav: unsupported WAV sample type int64"):
+        load_wav(tmp_path / "odd.wav")
+
+
+# ---------------------------------------------------------------------------
+# log-mel in frame blocks: bit-identical to the whole-clip computation
+# ---------------------------------------------------------------------------
+
+def whole_clip_log_mel(waveform, sample_rate, n_mels=80, clip_seconds=30.0):
+    """`log_mel` as one frame matrix over the zero-padded clip (the reference
+    the blocked version must match byte for byte)."""
+    wav = np.asarray(waveform, dtype=np.float64).reshape(-1)
+    n_target = int(round(clip_seconds * sample_rate))
+    if wav.size < n_target:
+        wav = np.pad(wav, (0, n_target - wav.size))
+    else:
+        wav = wav[:n_target]
+    win = int(round(WINDOW_SECONDS * sample_rate))
+    hop = int(round(HOP_SECONDS * sample_rate))
+    t_mel = n_target // hop
+    half = win // 2
+    padded = np.pad(wav, (half, win - half))
+    window = np.hanning(win)
+    fb_t = mel_filterbank(n_mels, win, sample_rate).T.astype(np.float64)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop][:t_mel]
+    spec = np.abs(np.fft.rfft(frames * window, n=win, axis=1)) ** 2
+    mel = spec @ fb_t
+    return np.log(np.maximum(mel, LOG_FLOOR)).T.astype(np.float32)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100])
+@pytest.mark.parametrize("length", [0.4, 1.0, 1.6])
+def test_log_mel_blocks_match_the_whole_clip_bitwise(sample_rate, length):
+    # 7.3 s is 730 frames: a first block, an interior block and a short last block
+    clip = 7.3
+    n = int(round(clip * sample_rate * length))
+    wav = np.random.default_rng(n).normal(size=n) * 0.3
+    got = log_mel(wav, sample_rate, clip_seconds=clip).frames
+    assert got.tobytes() == whole_clip_log_mel(wav, sample_rate, clip_seconds=clip).tobytes()
+
+
+@pytest.mark.parametrize("n, clip", [(1, 0.05), (3, 0.05), (399, 0.05), (401, 0.05),
+                                     (5, 0.02), (7, 0.001), (800, 0.01), (4100, 2.56)])
+def test_log_mel_tiny_inputs_match_the_whole_clip_bitwise(n, clip):
+    wav = np.random.default_rng(n).normal(size=n)
+    got = log_mel(wav, SR, clip_seconds=clip).frames
+    ref = whole_clip_log_mel(wav, SR, clip_seconds=clip)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _traced_peak_mib(fn) -> float:
+    fn()  # warm lazily built tables and caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_mel_peak_memory_of_a_30s_clip():
+    # measured 7.6 MiB (output 0.9, power spectrum 4.6 and one block's frames,
+    # FFT and magnitudes, then the 1.8 MiB mel); the whole-clip computation
+    # peaked at 22.0 MiB. The bound leaves 18 % above the measurement.
+    wav = np.random.default_rng(0).normal(size=SR * 30) * 0.3
+    assert _traced_peak_mib(lambda: log_mel(wav, SR)) < 9.0
+
+
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
@@ -161,7 +285,16 @@ def _graph_encode(encoder, mel):
     return ag.layer_norm(h, encoder.ln_f_g, encoder.ln_f_b).data
 
 
-@pytest.mark.parametrize("t_mel", [3000, 101])
+def test_encode_peak_memory_at_3000_frames(encoder):
+    # measured 11.3 MiB: one head's [1500, 1500] scores (8.6) plus activations;
+    # with every head's scores at once it peaked at 20.1 MiB. The bound leaves
+    # 19 % above the measurement.
+    mel = MelSpectrogram(
+        frames=(np.random.default_rng(1).normal(size=(80, 3000)) * 3).astype(np.float32))
+    assert _traced_peak_mib(lambda: encoder.encode(mel)) < 13.5
+
+
+@pytest.mark.parametrize("t_mel", [3000, 101, 33])
 def test_encode_matches_graph_composition_bitwise(encoder, t_mel):
     frames = np.random.default_rng(t_mel).normal(size=(80, t_mel)) * 3.0
     mel = MelSpectrogram(frames=frames.astype(np.float32))
