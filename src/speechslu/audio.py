@@ -3,7 +3,8 @@
 The mel layout follows the common ASR convention: 25 ms windows on a
 10 ms hop, 80 triangular mel filters, natural-log compression with a
 1e-10 floor. A clip is always padded or truncated to `clip_seconds`
-before analysis, so the frame count is exactly clip_seconds * 100.
+before analysis, and the frame count is clip_seconds * 100 (rounded)
+at every sample rate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ConfigError
 
@@ -100,7 +100,9 @@ def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
     wav = wav[:n_target]  # anything shorter is zero up to n_target
     win = int(round(WINDOW_SECONDS * sample_rate))
     hop = int(round(HOP_SECONDS * sample_rate))
-    t_mel = n_target // hop
+    # a whole-sample hop (220 at 22.05 kHz) drifts from 10 ms, so the frame
+    # count comes from the clip length; frames past the clip are zero-padded
+    t_mel = int(round(clip_seconds / HOP_SECONDS))
     # frame t covers samples t*hop - half .. t*hop - half + win (centered on t*hop)
     half = win // 2
     window, fb_t = _analysis_tables(n_mels, win, sample_rate)
@@ -136,6 +138,9 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     samples as left-justified int32. Any other sample type raises
     ConfigError naming the file.
     """
+    # imported on first use, so .mel and synthetic audio never load scipy.io
+    from scipy.io import wavfile
+
     sample_rate, data = wavfile.read(path)
     if data.dtype == np.uint8:
         data = (data.astype(np.float64) - 128.0) / 128.0

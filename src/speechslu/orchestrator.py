@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import ManifestRecord
+from .errors import ConfigError
 from .prompts import (DialogueTurn, build_mr_history, build_scot,
                       build_task_prompt, sample_candidate_labels)
 
@@ -298,15 +299,25 @@ def predictions_to_jsonl(pairs: list[tuple[ManifestRecord, SluResult]],
 
 
 def read_predictions(path) -> tuple[list[dict], dict | None]:
+    """Predictions and `_meta` of a predictions file; a malformed line, a
+    non-object line or `_meta`, or a prediction without an id raises
+    ConfigError naming `path:line`."""
     from pathlib import Path
 
     preds, meta = [], None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(d, dict) or not isinstance(d.get("_meta", {}), dict):
+            raise ConfigError(f"{path}:{lineno}: expected a JSON object")
         if "_meta" in d:
             meta = d["_meta"]
+        elif "id" not in d:
+            raise ConfigError(f"{path}:{lineno}: prediction has no id")
         else:
             preds.append(d)
     return preds, meta

@@ -225,6 +225,26 @@ def test_evaluate_reports_parse_failure_and_truncation_rates(tmp_path):
         assert out["truncation_rate"] == 0.5
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "a", "task": "IC", "intent": ', "malformed JSON"),
+    ('["a", "IC"]', "expected a JSON object"),
+    ('{"_meta": 3}', "expected a JSON object"),
+    ('{"task": "IC", "intent": "lights_on"}', "prediction has no id"),
+], ids=["malformed", "not-an-object", "meta-not-an-object", "no-id"])
+def test_evaluate_rejects_a_bad_prediction_line(tmp_path, capsys, line, message):
+    gold_path = tmp_path / "gold.jsonl"
+    write_manifest(gold_path, _ic_records(2))
+    preds_path = tmp_path / "p.jsonl"
+    good = json.dumps({"id": "ic-0", "task": "IC", "strategy": "alone", "intent": "lights_on"})
+    preds_path.write_text(json.dumps({"_meta": {"strategy": "alone"}}) + "\n" + good + "\n"
+                          + line + "\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--task", "ic", "--pred", str(preds_path),
+                 "--gold", str(gold_path), "--out", str(report)]) == 2
+    assert f"config error: {preds_path}:3: {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def _two_corpora(root, ids):
     """Manifests a/ic.jsonl and b/ic.jsonl with one IC record each; both
     records name the audio `mels/clip.mel`, which holds different features

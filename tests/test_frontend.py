@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from speechslu import audio
 from speechslu import autograd as ag
 from speechslu.audio import (HOP_SECONDS, LOG_FLOOR, WINDOW_SECONDS, MelSpectrogram,
                              load_mel, load_wav, log_mel, mel_filter_centers,
                              mel_filterbank, resolve_audio, save_mel, synthesize_mel)
-from speechslu.config import EncoderConfig
+from speechslu.aligner import ModalityAligner
+from speechslu.config import AlignerConfig, EncoderConfig
 from speechslu.encoder import SpeechEncoder
 from speechslu.errors import ConfigError, NonFiniteInput, ShapeMismatch
 from speechslu.initutil import param_hash, sinusoid_table
@@ -21,9 +21,12 @@ SR = 16000
 
 
 def test_silence_gives_log_floor_everywhere():
-    mel = log_mel(np.zeros(SR * 30), SR)
-    assert mel.frames.shape == (80, 3000)
-    np.testing.assert_allclose(mel.frames, np.log(LOG_FLOOR), atol=1e-5)
+    # 11.025 and 22.05 kHz round the 10 ms hop to 110 and 220 samples; the
+    # frame count still follows the clip length, not n_samples // hop
+    for sample_rate in (8000, 11025, SR, 22050, 44100, 48000):
+        mel = log_mel(np.zeros(sample_rate * 30), sample_rate)
+        assert mel.frames.shape == (80, 3000), sample_rate
+        np.testing.assert_allclose(mel.frames, np.log(LOG_FLOOR), atol=1e-5)
 
 
 def test_short_clip_padded_to_full_frame_count():
@@ -170,7 +173,7 @@ def test_wav_pcm16_and_float_load_unchanged(tmp_path):
 
 
 def test_wav_with_an_unsupported_sample_type_is_a_config_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(audio.wavfile, "read", lambda path: (SR, np.zeros(8, dtype=np.int64)))
+    monkeypatch.setattr(wavfile, "read", lambda path: (SR, np.zeros(8, dtype=np.int64)))
     with pytest.raises(ConfigError, match=r"odd\.wav: unsupported WAV sample type int64"):
         load_wav(tmp_path / "odd.wav")
 
@@ -184,15 +187,13 @@ def whole_clip_log_mel(waveform, sample_rate, n_mels=80, clip_seconds=30.0):
     the blocked version must match byte for byte)."""
     wav = np.asarray(waveform, dtype=np.float64).reshape(-1)
     n_target = int(round(clip_seconds * sample_rate))
-    if wav.size < n_target:
-        wav = np.pad(wav, (0, n_target - wav.size))
-    else:
-        wav = wav[:n_target]
+    wav = wav[:n_target]
     win = int(round(WINDOW_SECONDS * sample_rate))
     hop = int(round(HOP_SECONDS * sample_rate))
-    t_mel = n_target // hop
+    t_mel = int(round(clip_seconds / HOP_SECONDS))
     half = win // 2
-    padded = np.pad(wav, (half, win - half))
+    # zeros up to n_target, and on to the end of the last frame
+    padded = np.pad(wav, (half, max(n_target, (t_mel - 1) * hop + win) - wav.size))
     window = np.hanning(win)
     fb_t = mel_filterbank(n_mels, win, sample_rate).T.astype(np.float64)
     frames = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop][:t_mel]
@@ -252,6 +253,18 @@ def test_encode_halves_the_frame_rate(encoder):
     mel = MelSpectrogram(frames=np.zeros((80, 3000), dtype=np.float32))
     out = encoder.encode(mel)
     assert out.data.shape == (1500, 64)
+
+
+def test_30s_wav_at_22050_hz_gives_3000_1500_375(encoder, tmp_path):
+    # a 220-sample hop once gave 3006 -> 1503 -> 376
+    wav = np.random.default_rng(5).normal(size=22050 * 30) * 0.3
+    wavfile.write(tmp_path / "clip.wav", 22050, wav.astype(np.float32))
+    mel = resolve_audio(str(tmp_path / "clip.wav"))
+    assert mel.frames.shape == (80, 3000)
+    enc_out = encoder.encode(mel)
+    assert enc_out.data.shape[0] == 1500
+    aligner = ModalityAligner(AlignerConfig(), np.random.default_rng(13))
+    assert aligner.align(enc_out).data.shape[0] == 375
 
 
 def test_encode_arbitrary_length_follows_stride_law(encoder):
