@@ -177,8 +177,7 @@ def load_mel(path) -> MelSpectrogram:
 FRAMES_PER_WORD = 16
 
 
-def synthesize_mel(text: str, n_mels: int = 80,
-                   frames_per_word: int = FRAMES_PER_WORD) -> MelSpectrogram:
+def synthesize_mel(text: str, n_mels: int = 80) -> MelSpectrogram:
     """Deterministic mel features keyed to a transcript.
 
     Each word renders as a fixed pseudo-random spectral pattern derived
@@ -187,13 +186,13 @@ def synthesize_mel(text: str, n_mels: int = 80,
     """
     words = text.split() or [""]
     floor = np.float32(np.log(LOG_FLOOR))
-    frames = np.full((n_mels, frames_per_word * len(words)), floor, dtype=np.float32)
+    frames = np.full((n_mels, FRAMES_PER_WORD * len(words)), floor, dtype=np.float32)
     for i, word in enumerate(words):
         seed = int.from_bytes(hashlib.sha256(word.encode("utf-8")).digest()[:8], "little")
         rng = np.random.default_rng(seed)
         pattern = rng.uniform(1.0, 6.0, size=n_mels).astype(np.float32)
-        ramp = np.linspace(0.0, 0.5, frames_per_word, dtype=np.float32)
-        span = frames[:, i * frames_per_word:(i + 1) * frames_per_word]
+        ramp = np.linspace(0.0, 0.5, FRAMES_PER_WORD, dtype=np.float32)
+        span = frames[:, i * FRAMES_PER_WORD:(i + 1) * FRAMES_PER_WORD]
         span += pattern[:, None] + ramp[None, :]
     return MelSpectrogram(frames=frames, n_mels=n_mels)
 

@@ -82,9 +82,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data)
 
@@ -364,10 +361,9 @@ def transpose(x: Tensor, axes) -> Tensor:
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     return _make_node("concat", out, tuple(parts), vjp)

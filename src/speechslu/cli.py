@@ -12,12 +12,13 @@ import numpy as np
 from .config import RunConfig, load_config, save_config
 from .errors import ConfigError
 from .fileio import write_atomic
-from .datasets import (MicroCorpusSpec, build_slurp_zeroshot, generate_micro_corpus,
-                       read_manifest, write_manifest)
+from .datasets import (TASKS, MicroCorpusSpec, build_slurp_zeroshot,
+                       generate_micro_corpus, read_manifest, write_manifest)
 from .metrics import (binary_accuracy, corpus_wer, intent_accuracy,
                       perfect_parsing, slu_f1)
 from .model import SluModel, load_model
 from .orchestrator import (infer_manifest, predictions_to_jsonl, read_predictions)
+from .prompts import STRATEGIES
 from .tokenizer import build_vocabulary, default_specials
 from .training import train, write_trace_csv
 
@@ -40,20 +41,33 @@ def _load_run_config(args) -> RunConfig:
 # prepare-data
 # ---------------------------------------------------------------------------
 
+def _parse_counts(text: str) -> dict[str, int]:
+    """`TASK=N,...` with each TASK one of datasets.TASKS and each N a whole
+    number >= 1; anything else is a ConfigError naming the pair."""
+    counts = {}
+    for pair in text.split(","):
+        task, _, n = pair.partition("=")
+        if task not in TASKS or not n.isdecimal() or int(n) < 1:
+            raise ConfigError(f"prepare-data --counts: {pair!r} is not TASK=N with TASK "
+                              f"one of {', '.join(TASKS)} and N a whole number >= 1")
+        counts[task] = int(n)
+    return counts
+
+
 def cmd_prepare_data(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "micro":
         spec = MicroCorpusSpec()
         if args.counts:
-            spec.counts = {k: int(v) for k, v in
-                           (pair.split("=") for pair in args.counts.split(","))}
+            spec.counts = _parse_counts(args.counts)
+        out_dir.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed or 0)
         corpus = generate_micro_corpus(spec, rng, out_dir=out_dir)
         _log(f"micro corpus: " + ", ".join(f"{t}={len(v)}" for t, v in corpus.items()))
         return 0
     if args.kind == "slurp-zeroshot":
         records, meta = read_manifest(args.manifest)
+        out_dir.mkdir(parents=True, exist_ok=True)
         heldout = args.heldout.split(",") if args.heldout else None
         train_recs, test_recs = (build_slurp_zeroshot(records, heldout)
                                  if heldout else build_slurp_zeroshot(records))
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="batch inference over a manifest")
     p.add_argument("--run", required=True, help="run directory from train")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--strategy", required=True, choices=["alone", "scot", "mr"])
+    p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--out", required=True, help="predictions JSONL path")
     p.set_defaults(func=cmd_infer)
 

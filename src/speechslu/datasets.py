@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import FRAMES_PER_WORD, save_mel, synthesize_mel
+from .audio import save_mel, synthesize_mel
 from .errors import ConfigError, MissingAnnotation
 
 TASKS = ("ASR", "IC", "SF", "SQA", "SQIT", "SIT", "SA", "SER", "STER")
@@ -178,16 +178,15 @@ def remap_fsc(record: dict) -> tuple[str, list[tuple[str, str]]]:
     return intent, entities
 
 
-def build_fsc(records: list[dict], audio_key: str = "audio",
-              transcript_key: str = "transcription") -> list[ManifestRecord]:
+def build_fsc(records: list[dict]) -> list[ManifestRecord]:
     """FSC rows -> IC manifest records carrying the remapped intent + slots."""
     out = []
     for i, row in enumerate(records):
         intent, entities = remap_fsc(row)
         out.append(ManifestRecord(
             id=row.get("id", f"fsc-{i:06d}"),
-            audio=row.get(audio_key) or f"synthetic:{row[transcript_key]}",
-            transcript=row[transcript_key],
+            audio=row.get("audio") or f"synthetic:{row['transcription']}",
+            transcript=row["transcription"],
             task="IC",
             annotation={"intent": intent, "entities": entities}))
     return out
@@ -317,17 +316,17 @@ def build_spoken_alpaca(records: list[dict], filters: AlpacaFilters | None = Non
 # close-field smart-home subset passthrough
 # ---------------------------------------------------------------------------
 
-def build_smartlight(records: list[ManifestRecord], n_intents: int = 6,
-                     n_slot_types: int = 3) -> list[ManifestRecord]:
-    """Validate inventory sizes of an already-annotated close-field test set."""
+def build_smartlight(records: list[ManifestRecord]) -> list[ManifestRecord]:
+    """Validate inventory sizes (at most 6 intents and 3 slot types) of an
+    already-annotated close-field test set."""
     intents = {r.annotation.get("intent") for r in records if r.annotation.get("intent")}
     slots = set()
     for r in records:
         slots |= r.slot_types()
-    if len(intents) > n_intents:
-        raise ValueError(f"expected at most {n_intents} intents, found {len(intents)}")
-    if len(slots) > n_slot_types:
-        raise ValueError(f"expected at most {n_slot_types} slot types, found {len(slots)}")
+    if len(intents) > 6:
+        raise ValueError(f"expected at most 6 intents, found {len(intents)}")
+    if len(slots) > 3:
+        raise ValueError(f"expected at most 3 slot types, found {len(slots)}")
     return list(records)
 
 
@@ -494,7 +493,7 @@ def generate_micro_corpus(spec: MicroCorpusSpec, rng: np.random.Generator,
         (out / "mels").mkdir(parents=True, exist_ok=True)
         for task, records in corpus.items():
             for r in records:
-                mel = synthesize_mel(r.transcript, frames_per_word=FRAMES_PER_WORD)
+                mel = synthesize_mel(r.transcript)
                 mel_path = out / "mels" / f"{r.id}.mel"
                 save_mel(mel_path, mel)
                 r.audio = f"mels/{r.id}.mel"

@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .config import DecoderConfig, LoraConfig
 from .encoder import TransformerBlock
-from .errors import ShapeMismatch
+from .errors import NonFiniteInput, ShapeMismatch
 from .initutil import normal_param, ones_param, sinusoid_table, zeros_param
 from .tokenizer import Vocabulary
 
@@ -43,15 +43,20 @@ class MultimodalSequence:
 
 
 def expand_splice(ids: list[int], splice_index: int | None, speech_len: int,
-                  placeholder_id: int) -> MultimodalSequence:
-    """Expand the single placeholder token into `speech_len` positions."""
+                  placeholder_id: int, loss_mask: np.ndarray | None = None
+                  ) -> MultimodalSequence:
+    """Expand the single placeholder token into `speech_len` positions; a
+    loss mask over the rendered positions is expanded with the ids."""
+    ids = np.asarray(ids, dtype=np.int64)
     if splice_index is None:
-        return MultimodalSequence(np.asarray(ids, dtype=np.int64))
+        return MultimodalSequence(ids, loss_mask=loss_mask)
     if ids[splice_index] != placeholder_id:
         raise ShapeMismatch("sequence", f"no placeholder at index {splice_index}")
-    expanded = ids[:splice_index] + [placeholder_id] * speech_len + ids[splice_index + 1:]
-    return MultimodalSequence(np.asarray(expanded, dtype=np.int64),
-                              splice_start=splice_index, splice_len=speech_len)
+    repeats = np.ones(len(ids), dtype=np.int64)
+    repeats[splice_index] = speech_len
+    return MultimodalSequence(
+        np.repeat(ids, repeats), splice_start=splice_index, splice_len=speech_len,
+        loss_mask=None if loss_mask is None else np.repeat(loss_mask, repeats))
 
 
 class LoraLinear:
@@ -132,48 +137,41 @@ class InstructionDecoder:
         out.update(self.lora_parameters())
         return out
 
+    # -- embedding, shared by both paths ------------------------------------
+
+    def embed(self, seq: MultimodalSequence, speech: ag.Tensor | None) -> ag.Tensor:
+        """Token embeddings with the speech embeddings in the placeholder
+        span, plus positions: [T, d]."""
+        t = len(seq.ids)
+        if t == 0:
+            raise ShapeMismatch("decoder", "empty sequence")
+        if t > self.cfg.max_positions:
+            raise ShapeMismatch("decoder", f"prompt length {t} > max {self.cfg.max_positions}")
+        want = None if seq.splice_start is None else seq.splice_len
+        got = None if speech is None else speech.data.shape[0]
+        if got != want:
+            raise ShapeMismatch("decoder", f"splice length {want} != speech embeddings {got}")
+        if speech is not None and not np.isfinite(speech.data).all():
+            raise NonFiniteInput("decoder")
+        if want is None:
+            emb = ag.embedding_lookup(self.tok_emb, seq.ids)
+        else:
+            s0, s1 = seq.splice_start, seq.splice_start + seq.splice_len
+            emb = ag.concat([ag.embedding_lookup(self.tok_emb, seq.ids[:s0]), speech,
+                             ag.embedding_lookup(self.tok_emb, seq.ids[s1:])], axis=0)
+        return ag.add(emb, self.pe[:t])
+
     # -- training-path forward ----------------------------------------------
 
     def forward(self, seq: MultimodalSequence, speech: ag.Tensor | None = None) -> ag.Tensor:
         """Logits [T, vocab]; speech embeddings replace the placeholder span."""
-        t = len(seq.ids)
-        if t == 0:
-            raise ShapeMismatch("decoder.forward", "empty sequence")
-        if t > self.cfg.max_positions:
-            raise ShapeMismatch("decoder.forward",
-                                f"sequence length {t} > max {self.cfg.max_positions}")
-        emb = ag.embedding_lookup(self.tok_emb, seq.ids)
-        if seq.splice_start is not None:
-            if speech is None or speech.data.shape[0] != seq.splice_len:
-                got = None if speech is None else speech.data.shape[0]
-                raise ShapeMismatch(
-                    "decoder.forward",
-                    f"splice length {seq.splice_len} != speech embeddings {got}")
-            s0, s1 = seq.splice_start, seq.splice_start + seq.splice_len
-            emb = ag.concat([ag.slice_rows(emb, 0, s0), speech,
-                             ag.slice_rows(emb, s1, t)], axis=0)
-        elif speech is not None:
-            raise ShapeMismatch("decoder.forward", "speech given but sequence has no splice")
-        x = ag.add(emb, self.pe[:t])
+        x = self.embed(seq, speech)
         for layer in self.layers:
             x = layer.causal_forward(x)
         x = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
         return ag.matmul(x, self.w_out)
 
     # -- inference path (numpy kernels, KV cache local to the call) ----------
-
-    def _embed_ids(self, ids: np.ndarray, speech: np.ndarray | None,
-                   splice_start: int | None, splice_len: int) -> np.ndarray:
-        emb = self.tok_emb.data[ids]
-        if splice_start is not None:
-            if speech is None or speech.shape[0] != splice_len:
-                got = None if speech is None else speech.shape[0]
-                raise ShapeMismatch(
-                    "decoder.generate", f"splice length {splice_len} != speech {got}")
-            emb = np.concatenate(
-                [emb[:splice_start], speech.astype(np.float32),
-                 emb[splice_start + splice_len:]], axis=0)
-        return emb + self.pe[:emb.shape[0]]
 
     def generate_greedy(self, seq: MultimodalSequence, speech: np.ndarray | None,
                         max_new: int, stop_id: int | None = None) -> GenerationResult:
@@ -184,13 +182,12 @@ class InstructionDecoder:
         """
         if max_new < 1:
             raise ValueError("max_new must be >= 1")
-        if len(seq.ids) > self.cfg.max_positions:
-            raise ShapeMismatch("decoder.generate",
-                                f"prompt length {len(seq.ids)} > max {self.cfg.max_positions}")
         if stop_id is None:
             stop_id = self.vocab.special_id("end_turn")
+        if speech is not None:
+            speech = ag.Tensor(np.asarray(speech, dtype=np.float32))
+        x = self.embed(seq, speech).data
         weights = [layer.weights() for layer in self.layers]
-        x = self._embed_ids(seq.ids, speech, seq.splice_start, seq.splice_len)
         # one row per prompt position and per generated token, capped at the
         # position table
         rows = min(self.cfg.max_positions, x.shape[0] + max_new)

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (AlignerConfig, DecoderConfig, EncoderConfig, LoraConfig,
-                     PromptConfig, RunConfig, TrainConfig)
+                     RunConfig, TrainConfig)
 from .datasets import ManifestRecord, MicroCorpusSpec, generate_micro_corpus
 from .model import SluModel
-from .orchestrator import exact_entity_match, infer_manifest
-from .prompts import SF_FORMAT_CLAUSE, PromptBank, build_scot
+from .orchestrator import SluResult, exact_entity_match, infer_manifest
+from .prompts import SF_FORMAT_CLAUSE, PromptBank, strategy_turns
 from .tokenizer import build_vocabulary, default_specials
 from .training import TrainResult, gold_answer, train
 
@@ -42,13 +42,12 @@ def micro_run_config(seed: int = 7) -> RunConfig:
     )
 
 
-def training_texts(records: list[ManifestRecord], bank: PromptBank,
-                   prompt_cfg: PromptConfig | None = None) -> list[str]:
+def training_texts(records: list[ManifestRecord], bank: PromptBank) -> list[str]:
     """Everything the vocabulary must cover to tokenize training sequences
-    compactly: roles, template literals, prompts, transcripts, targets."""
-    del prompt_cfg  # marker strings are reserved ids, never vocabulary words
+    compactly: roles, template literals, prompts, transcripts, targets.
+    Chat-template marker strings are reserved ids, never vocabulary words."""
     texts = ["system", "user", "assistant", "\n\n", SF_FORMAT_CLAUSE,
-             build_scot("a", "b")]
+             strategy_turns("scot", "b", "a")[0].text]
     for templates in bank.templates.values():
         texts.extend(templates)
     for r in records:
@@ -76,6 +75,7 @@ class MicroRunReport:
     ic_hits: dict[str, int] = field(default_factory=dict)     # strategy -> /10
     sf_hits: dict[str, int] = field(default_factory=dict)
     train_result: TrainResult | None = None
+    results: list[tuple[str, ManifestRecord, SluResult]] = field(default_factory=list)
 
 
 def run_micro_overfit(epochs: int = MICRO_EPOCHS, seed: int = 7,
@@ -90,9 +90,9 @@ def run_micro_overfit(epochs: int = MICRO_EPOCHS, seed: int = 7,
         train_result=result)
     for strategy in ("alone", "scot", "mr"):
         ic = infer_manifest(corpus["IC"], model, strategy, seed=infer_seed)
-        report.ic_hits[strategy] = sum(
-            1 for r, res in ic if res.intent == r.annotation["intent"])
         sf = infer_manifest(corpus["SF"], model, strategy, seed=infer_seed)
+        report.results += [(strategy, r, res) for r, res in ic + sf]
+        report.ic_hits[strategy] = sum(res.intent == r.annotation["intent"] for r, res in ic)
         report.sf_hits[strategy] = sum(
-            1 for r, res in sf if exact_entity_match(res.entities, r.annotation["entities"]))
+            exact_entity_match(res.entities, r.annotation["entities"]) for r, res in sf)
     return model, report

@@ -12,7 +12,7 @@ from .aligner import ModalityAligner
 from .audio import resolve_audio, source_key
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash
-from .decoder import InstructionDecoder, MultimodalSequence, expand_splice
+from .decoder import InstructionDecoder, expand_splice
 from .encoder import SpeechEncoder
 from .errors import ConfigError, ShapeMismatch
 from .prompts import DialogueTurn, PromptBank, render_chat
@@ -91,14 +91,9 @@ class SluModel:
         """Greedy response to a dialogue; returns (text, truncated, rendered prompt)."""
         rendered = render_chat(turns, self.vocab, self.prompt_cfg,
                                add_generation_prompt=True)
-        if rendered.splice_index is not None:
-            if speech is None:
-                raise ShapeMismatch("generate", "dialogue has a splice but no speech given")
-            seq = expand_splice(rendered.ids, rendered.splice_index, speech.shape[0],
-                                self.vocab.special_id("speech_placeholder"))
-        else:
-            seq = MultimodalSequence(np.asarray(rendered.ids, dtype=np.int64))
-            speech = None
+        seq = expand_splice(rendered.ids, rendered.splice_index,
+                            0 if speech is None else len(speech),
+                            self.vocab.special_id("speech_placeholder"))
         out = self.decoder.generate_greedy(seq, speech, max_new)
         return out.text, out.truncated, rendered.text(self.vocab)
 
@@ -111,20 +106,19 @@ class SluModel:
         save_checkpoint(out / "checkpoint.sslc", params, self.config_hash)
         self.vocab.save(out / "vocab.json")
 
-    def load_weights(self, checkpoint_path, strict: bool = True) -> str:
-        """Load parameters; returns the config hash the checkpoint was saved with."""
+    def load_weights(self, checkpoint_path) -> str:
+        """Load every parameter; returns the checkpoint's config hash."""
         params, ck_hash = load_checkpoint(checkpoint_path)
         own = self.named_parameters()
         missing = sorted(set(own) - set(params))
         extra = sorted(set(params) - set(own))
-        if strict and (missing or extra):
+        if missing or extra:
             raise ValueError(f"checkpoint mismatch: missing={missing}, extra={extra}")
         for name, tensor in own.items():
-            if name in params:
-                if params[name].shape != tensor.data.shape:
-                    raise ShapeMismatch(
-                        "load_weights", f"{name}: {params[name].shape} vs {tensor.data.shape}")
-                tensor.data = params[name].astype(np.float32).copy()
+            if params[name].shape != tensor.data.shape:
+                raise ShapeMismatch(
+                    "load_weights", f"{name}: {params[name].shape} vs {tensor.data.shape}")
+            tensor.data = params[name].astype(np.float32).copy()
         self._enc_cache.clear()
         self._seen.clear()
         return ck_hash

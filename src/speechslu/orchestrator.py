@@ -12,10 +12,9 @@ import numpy as np
 
 from .datasets import ManifestRecord
 from .errors import ConfigError
-from .prompts import (DialogueTurn, build_mr_history, build_scot,
-                      build_task_prompt, sample_candidate_labels)
+from .prompts import (STRATEGIES, build_task_prompt, sample_candidate_labels,
+                      strategy_turns)
 
-STRATEGIES = ("alone", "scot", "mr")
 # tasks whose answer gets the long generation budget
 LONG_OUTPUT_TASKS = ("SF", "SQA", "SQIT", "SIT")
 
@@ -178,30 +177,25 @@ def infer(audio_ref: str, spec: TaskSpec, model, rng: np.random.Generator,
     """Run one example through the configured inference strategy.
 
     `alone` draws the task instruction only; `scot` and `mr` draw the ASR
-    prompt, then the task instruction (after `mr`'s round-1 transcription,
-    which draws nothing).
+    prompt, then the task instruction (`mr`'s round-1 transcription, which
+    runs in between, draws nothing).
     """
     speech = model.embed_audio(audio_ref, base_dir).data
     result = SluResult(task=spec.task, strategy=spec.strategy)
     delim = model.prompt_cfg.scot_delimiter
     icfg = model.infer_cfg
     max_new = icfg.max_new_long if spec.task in LONG_OUTPUT_TASKS else icfg.max_new_short
-    if spec.strategy == "alone":
-        turns = [DialogueTurn("user", task_instruction(spec, model, rng), speech=True)]
-    else:
-        asr_prompt = build_task_prompt("ASR", [], model.bank, rng)
-        if spec.strategy == "scot":
-            user = build_scot(asr_prompt, task_instruction(spec, model, rng), delim)
-            turns = [DialogueTurn("user", user, speech=True)]
-            max_new = icfg.max_new_long
-        else:  # mr: round 1 transcribes, round 2 answers from the transcript
-            round1 = [DialogueTurn("user", asr_prompt, speech=True)]
-            transcript, result.truncated, rendered = model.generate(
-                round1, speech, icfg.max_new_short)
-            result.transcript = transcript.strip()
-            result.round_prompts.append(rendered)
-            turns = build_mr_history(result.transcript, task_instruction(spec, model, rng),
-                                     asr_prompt)
+    asr_prompt = (None if spec.strategy == "alone"
+                  else build_task_prompt("ASR", [], model.bank, rng))
+    instruction = task_instruction(spec, model, rng)
+    if spec.strategy == "scot":
+        max_new = icfg.max_new_long
+    elif spec.strategy == "mr":  # round 1 transcribes, round 2 answers from the transcript
+        transcript, result.truncated, rendered = model.generate(
+            strategy_turns("alone", asr_prompt), speech, icfg.max_new_short)
+        result.transcript = transcript.strip()
+        result.round_prompts.append(rendered)
+    turns = strategy_turns(spec.strategy, instruction, asr_prompt, result.transcript, delim)
 
     text, truncated, rendered = model.generate(turns, speech, max_new)
     result.raw_text = text
@@ -300,11 +294,12 @@ def predictions_to_jsonl(pairs: list[tuple[ManifestRecord, SluResult]],
 
 def read_predictions(path) -> tuple[list[dict], dict | None]:
     """Predictions and `_meta` of a predictions file; a malformed line, a
-    non-object line or `_meta`, or a prediction without an id raises
-    ConfigError naming `path:line`."""
+    non-object line or `_meta`, a prediction without an id, or a repeated
+    id raises ConfigError naming `path:line`."""
     from pathlib import Path
 
     preds, meta = [], None
+    first_line: dict[object, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -318,7 +313,11 @@ def read_predictions(path) -> tuple[list[dict], dict | None]:
             meta = d["_meta"]
         elif "id" not in d:
             raise ConfigError(f"{path}:{lineno}: prediction has no id")
+        elif d["id"] in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate prediction id {d['id']!r} "
+                              f"(first at line {first_line[d['id']]})")
         else:
+            first_line[d["id"]] = lineno
             preds.append(d)
     return preds, meta
 

@@ -24,6 +24,9 @@ SF_FORMAT_CLAUSE = ("Respond with a JSON object mapping each detected slot "
 BANK_TASKS = ("ASR", "IC", "SF")
 BANK_SIZE = 10
 
+# inference strategies, and the dialogue shapes a training example takes
+STRATEGIES = ("alone", "scot", "mr")
+
 
 @dataclass
 class DialogueTurn:
@@ -214,3 +217,18 @@ def build_mr_history(transcript: str, slu_prompt: str,
 
 def scot_target(transcript: str, answer: str, delimiter: str = "---") -> str:
     return f"{transcript}\n{delimiter}\n{answer}"
+
+
+def strategy_turns(strategy: str, instruction: str, asr_prompt: str | None = None,
+                   transcript: str | None = None,
+                   delimiter: str = "---") -> list[DialogueTurn]:
+    """The turns before the answer in a strategy's dialogue, for inference
+    and training alike (`mr`'s round 1 is `asr_prompt` under `alone`)."""
+    if strategy == "alone":
+        return [DialogueTurn("user", instruction, speech=True)]
+    if strategy == "scot":
+        return [DialogueTurn("user", build_scot(asr_prompt, instruction, delimiter),
+                             speech=True)]
+    if strategy == "mr":
+        return build_mr_history(transcript, instruction, asr_prompt)
+    raise ValueError(f"unknown strategy {strategy!r}")

@@ -20,6 +20,9 @@ from .fileio import write_atomic
 
 SPECIAL_NAMES = ("begin_text", "header_open", "header_close", "end_turn",
                  "speech_placeholder", "pad")
+# word tokens a learned vocabulary keeps (each word counts twice: bare and
+# with a leading space)
+MAX_WORD_TOKENS = 4096
 
 
 class Vocabulary:
@@ -110,8 +113,7 @@ def default_specials(prompt_cfg=None) -> dict[str, str]:
     }
 
 
-def build_vocabulary(texts, specials: dict[str, str] | None = None,
-                     min_count: int = 1, max_words: int = 4096) -> Vocabulary:
+def build_vocabulary(texts, specials: dict[str, str] | None = None) -> Vocabulary:
     """Learn word tokens from a text corpus.
 
     Each frequent word is added both bare and with a leading space, so
@@ -122,11 +124,10 @@ def build_vocabulary(texts, specials: dict[str, str] | None = None,
     for text in texts:
         for word in text.split():
             counts[word] += 1
-    ranked = sorted((w for w, c in counts.items() if c >= min_count),
-                    key=lambda w: (-counts[w], w))
+    ranked = sorted(counts, key=lambda w: (-counts[w], w))
     words: list[str] = []
     for w in ranked:
-        if len(words) + 2 > max_words:
+        if len(words) + 2 > MAX_WORD_TOKENS:
             break
         words.append(w)
         words.append(" " + w)

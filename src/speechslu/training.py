@@ -18,11 +18,10 @@ from .fileio import write_atomic
 from .model import SluModel
 from .optim import AdamWState, adamw_step, clip_global_norm
 from .orchestrator import collect_inventories, spec_for_record, task_instruction
-from .prompts import (DialogueTurn, build_mr_history, build_scot, build_task_prompt,
-                      render_chat, scot_target)
+from .prompts import (STRATEGIES, DialogueTurn, build_task_prompt, render_chat,
+                      scot_target, strategy_turns)
 
 PLAIN = "plain"
-STRATEGY_CONFIGS = ("alone", "scot", "mr")
 
 
 def assign_config(record: ManifestRecord, rng: np.random.Generator,
@@ -31,8 +30,8 @@ def assign_config(record: ManifestRecord, rng: np.random.Generator,
     instruction examples always train in plain single-task form."""
     if record.task in ("ASR", "SQIT"):
         return PLAIN
-    idx = int(rng.choice(3, p=np.asarray(probs) / np.sum(probs)))
-    return STRATEGY_CONFIGS[idx]
+    idx = int(rng.choice(len(STRATEGIES), p=np.asarray(probs) / np.sum(probs)))
+    return STRATEGIES[idx]
 
 
 def gold_answer(record: ManifestRecord) -> str:
@@ -62,8 +61,6 @@ def gold_answer(record: ManifestRecord) -> str:
 
 @dataclass
 class TrainingExample:
-    record_id: str
-    task: str
     config: str
     sequence: MultimodalSequence
     n_supervised: int
@@ -72,43 +69,27 @@ class TrainingExample:
 def build_training_sequence(record: ManifestRecord, config: str, model: SluModel,
                             inventories: dict, rng: np.random.Generator,
                             speech_len: int) -> TrainingExample:
-    """Render the dialogue for a record under a strategy config and mask the
-    supervised response span(s)."""
+    """Render a record's dialogue under a strategy config (PLAIN renders as
+    `alone`), with its assistant target, and mask the supervised spans."""
     vocab, pcfg = model.vocab, model.prompt_cfg
-    answer = gold_answer(record)
     asr_prompt = build_task_prompt("ASR", [], model.bank, rng)
     # the instruction inference would give this record; a spec's strategy
     # does not change it
-    slu_prompt = task_instruction(spec_for_record(record, "alone", inventories), model, rng)
-
-    if config == PLAIN or config == "alone":
-        turns = [DialogueTurn("user", slu_prompt, speech=True),
-                 DialogueTurn("assistant", answer)]
-    elif config == "scot":
-        user = build_scot(asr_prompt, slu_prompt, pcfg.scot_delimiter)
-        target = scot_target(record.transcript, answer, pcfg.scot_delimiter)
-        turns = [DialogueTurn("user", user, speech=True),
-                 DialogueTurn("assistant", target)]
-    elif config == "mr":
-        turns = build_mr_history(record.transcript, slu_prompt, asr_prompt)
-        turns.append(DialogueTurn("assistant", answer))
-    else:
-        raise ValueError(f"unknown training config {config!r}")
-
-    rendered = render_chat(turns, vocab, pcfg)
-    seq = expand_splice(rendered.ids, rendered.splice_index, speech_len,
-                        vocab.special_id("speech_placeholder"))
-    offset = speech_len - 1 if rendered.splice_index is not None else 0
-    mask = np.zeros(len(seq.ids), dtype=bool)
+    instruction = task_instruction(spec_for_record(record, "alone", inventories), model, rng)
+    strategy = "alone" if config == PLAIN else config
+    answer = gold_answer(record)
+    if strategy == "scot":
+        answer = scot_target(record.transcript, answer, pcfg.scot_delimiter)
+    turns = strategy_turns(strategy, instruction, asr_prompt, record.transcript,
+                           pcfg.scot_delimiter)
+    rendered = render_chat(turns + [DialogueTurn("assistant", answer)], vocab, pcfg)
+    mask = np.zeros(len(rendered.ids), dtype=bool)
     for role, start, end in rendered.spans:
-        if role != "assistant":
-            continue
-        lo = start + offset if rendered.splice_index is not None and start > rendered.splice_index else start
-        hi = end + offset if rendered.splice_index is not None and end > rendered.splice_index else end
-        mask[lo:hi] = True
-    seq.loss_mask = mask
-    return TrainingExample(record_id=record.id, task=record.task, config=config,
-                           sequence=seq, n_supervised=int(mask.sum()))
+        if role == "assistant":
+            mask[start:end] = True
+    seq = expand_splice(rendered.ids, rendered.splice_index, speech_len,
+                        vocab.special_id("speech_placeholder"), mask)
+    return TrainingExample(config=config, sequence=seq, n_supervised=int(seq.loss_mask.sum()))
 
 
 @dataclass

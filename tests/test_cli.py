@@ -34,6 +34,15 @@ def test_prepare_data_micro(tmp_path):
     assert all((tmp_path / r.audio).exists() for r in ic + sf)
 
 
+@pytest.mark.parametrize("counts", ["ic=3", "IC=-2", "IC", "IC=x"])
+def test_prepare_data_rejects_a_bad_count(tmp_path, capsys, counts):
+    out = tmp_path / "data"
+    assert main(["prepare-data", "--kind", "micro", "--out", str(out),
+                 "--counts", f"SF=2,{counts}"]) == 2
+    assert f"--counts: '{counts}' is not TASK=N" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prepare_data_slurp_zeroshot(tmp_path):
     records = []
     slots = [[("date", "noon")], [("artist_name", "echo")], [("time", "dawn")],
@@ -242,6 +251,23 @@ def test_evaluate_rejects_a_bad_prediction_line(tmp_path, capsys, line, message)
     assert main(["evaluate", "--task", "ic", "--pred", str(preds_path),
                  "--gold", str(gold_path), "--out", str(report)]) == 2
     assert f"config error: {preds_path}:3: {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_evaluate_rejects_a_repeated_prediction_id(tmp_path, capsys):
+    # scored twice, one correct prediction would read as 2 of 3 correct
+    gold_path = tmp_path / "gold.jsonl"
+    write_manifest(gold_path, _ic_records(2))
+    preds_path = tmp_path / "p.jsonl"
+    good = json.dumps({"id": "ic-0", "task": "IC", "strategy": "alone", "intent": "lights_on"})
+    other = json.dumps({"id": "ic-1", "task": "IC", "strategy": "alone", "intent": "lights_off"})
+    preds_path.write_text("\n".join([json.dumps({"_meta": {"strategy": "alone"}}), good,
+                                     other, good]) + "\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--task", "ic", "--pred", str(preds_path),
+                 "--gold", str(gold_path), "--out", str(report)]) == 2
+    assert (f"config error: {preds_path}:4: duplicate prediction id 'ic-0' (first at line 2)"
+            in capsys.readouterr().err)
     assert not report.exists()
 
 

@@ -8,7 +8,7 @@ from speechslu import autograd as ag
 from speechslu.config import DecoderConfig, LoraConfig
 from speechslu.decoder import (InstructionDecoder, LoraLinear, MultimodalSequence,
                                expand_splice, lora_parameter_count)
-from speechslu.errors import ShapeMismatch
+from speechslu.errors import NonFiniteInput, ShapeMismatch
 from speechslu.initutil import param_hash
 from speechslu.optim import AdamWState, adamw_step
 from speechslu.tokenizer import build_vocabulary
@@ -222,6 +222,29 @@ def test_generation_rejects_prompt_beyond_position_table():
     # a prompt that fills the table still yields one (truncated) token
     out = dec.generate_greedy(MultimodalSequence(ids[:8]), None, max_new=4)
     assert len(out.ids) == 1 and out.truncated
+
+
+@pytest.mark.parametrize("bad_id", ["-1", "vocab.size"])
+def test_both_paths_reject_ids_outside_the_vocabulary(bad_id):
+    dec, vocab = make_decoder(seed=25, n_layers=1)
+    ids = np.array([vocab.special_id("begin_text"), vocab.word_offset,
+                    -1 if bad_id == "-1" else vocab.size], dtype=np.int64)
+    with pytest.raises(ShapeMismatch, match="embedding_lookup"):
+        dec.generate_greedy(MultimodalSequence(ids), None, max_new=3)
+    with pytest.raises(ShapeMismatch, match="embedding_lookup"):
+        dec.forward(MultimodalSequence(ids))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_both_paths_reject_non_finite_speech(value):
+    dec, vocab = make_decoder(seed=26, n_layers=1)
+    seq = seq_of(vocab, "hello", speech_len=2)
+    speech = np.zeros((2, 32), dtype=np.float32)
+    speech[1, 3] = value
+    with pytest.raises(NonFiniteInput, match="decoder"):
+        dec.generate_greedy(seq, speech, max_new=3)
+    with pytest.raises(NonFiniteInput, match="decoder"):
+        dec.forward(seq, ag.Tensor(speech))
 
 
 def test_greedy_ties_break_to_lowest_id():

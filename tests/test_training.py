@@ -10,7 +10,9 @@ from speechslu import autograd as ag, training
 from speechslu.datasets import ManifestRecord, MicroCorpusSpec, generate_micro_corpus
 from speechslu.errors import TrainingDiverged
 from speechslu.initutil import param_hash
+from speechslu.decoder import expand_splice
 from speechslu.orchestrator import collect_inventories, infer, spec_for_record
+from speechslu.prompts import STRATEGIES
 from speechslu.training import (PLAIN, assign_config, build_training_sequence,
                                 gold_answer, train, _epoch_stream)
 
@@ -149,6 +151,51 @@ def test_binary_task_trains_under_every_config(tiny_model, micro_corpus):
         seq = example.sequence
         assert seq.splice_start is not None
         assert seq.loss_mask.any()
+
+
+def _offset_expansion(rendered, speech_len, placeholder):
+    """Reference: ids expanded as a list and the assistant spans shifted
+    past the splice by offset arithmetic."""
+    ids, splice = rendered.ids, rendered.splice_index
+    if splice is not None:
+        ids = ids[:splice] + [placeholder] * speech_len + ids[splice + 1:]
+    offset = speech_len - 1 if splice is not None else 0
+    mask = np.zeros(len(ids), dtype=bool)
+    for role, start, end in rendered.spans:
+        if role != "assistant":
+            continue
+        lo = start + offset if splice is not None and start > splice else start
+        hi = end + offset if splice is not None and end > splice else end
+        mask[lo:hi] = True
+    return ids, mask
+
+
+def test_expand_splice_expands_the_mask_with_the_ids(tiny_model, micro_corpus, monkeypatch):
+    rendered = []
+    render_chat = training.render_chat
+
+    def recording(*args, **kw):
+        rendered.append(render_chat(*args, **kw))
+        return rendered[-1]
+
+    monkeypatch.setattr(training, "render_chat", recording)
+    placeholder = tiny_model.vocab.special_id("speech_placeholder")
+    checked = 0
+    for task, records in micro_corpus.items():
+        configs = (PLAIN,) if task in ("ASR", "SQIT") else STRATEGIES
+        for record, config, seed in itertools.product(records, configs, range(4)):
+            rendered.clear()
+            example, _ = _sequence_for(tiny_model, record, config, seed=seed)
+            seq = example.sequence
+            ids, mask = _offset_expansion(rendered[0], seq.splice_len, placeholder)
+            assert list(seq.ids) == ids, (record.id, config, seed)
+            assert seq.loss_mask.tobytes() == mask.tobytes(), (record.id, config, seed)
+            assert example.n_supervised == mask.sum()
+            checked += 1
+    assert checked == 4 * (4 + 3 + 3 * (6 + 6 + 3 + 3 + 3 + 2 + 2))
+    # no splice: ids and mask pass through
+    seq = expand_splice([1, 2, 3], None, 5, placeholder, np.array([False, True, True]))
+    assert list(seq.ids) == [1, 2, 3] and list(seq.loss_mask) == [False, True, True]
 
 
 def test_prompt_and_speech_positions_never_masked(tiny_model, micro_corpus):
