@@ -15,7 +15,7 @@ import numpy as np
 from . import autograd as ag
 from .config import AlignerConfig
 from .errors import ShapeMismatch
-from .initutil import ceil_div, normal_param, zeros_param
+from .initutil import normal_param, zeros_param
 
 
 class ModalityAligner:
@@ -35,9 +35,6 @@ class ModalityAligner:
         self.up_b = zeros_param((d,), True, "aligner.adapter.up.b")
         self.out_w = normal_param(rng, (d, dd), 0.02, True, "aligner.out.w")
         self.out_b = zeros_param((dd,), True, "aligner.out.b")
-
-    def out_len(self, t_enc: int) -> int:
-        return ceil_div(ceil_div(t_enc, self.cfg.conv_strides[0]), self.cfg.conv_strides[1])
 
     def align(self, enc_out: ag.Tensor) -> ag.Tensor:
         """[T_enc, d_enc] -> [ceil(T_enc / 4), d_dec]."""

@@ -64,12 +64,6 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return fb.astype(np.float32)
 
 
-def mel_filter_centers(n_mels: int, sample_rate: int) -> np.ndarray:
-    """Center frequency (Hz) of each mel filter."""
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
-    return mel_to_hz(mel_points)[1:-1]
-
-
 @functools.lru_cache(maxsize=8)
 def _analysis_tables(n_mels: int, win: int, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
     """Hann window [win] and float64 filterbank [win//2 + 1, n_mels], read-only."""

@@ -115,14 +115,10 @@ def _make_node(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -
 
 
 def _check_finite(op: str, arr: np.ndarray, allow_neginf: bool = False):
-    if allow_neginf:
-        # one pass: NaN and +inf both fail `< inf`, -inf passes
-        bad = not (arr < np.inf).all()
-    else:
-        # a single reduction: NaN and +-inf both poison the sum (values at
-        # toy scale can never overflow a finite float sum)
-        bad = not np.isfinite(arr.sum())
-    if bad:
+    # one elementwise pass (NaN and +inf fail `< inf`, -inf passes); a sum
+    # is no shortcut, since finite values can overflow it
+    ok = (arr < np.inf).all() if allow_neginf else np.isfinite(arr).all()
+    if not ok:
         raise NonFiniteInput(op)
 
 

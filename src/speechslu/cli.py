@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,17 @@ import numpy as np
 from .config import RunConfig, load_config, save_config
 from .errors import ConfigError
 from .fileio import write_atomic
-from .datasets import (TASKS, MicroCorpusSpec, build_slurp_zeroshot,
-                       generate_micro_corpus, read_manifest, write_manifest)
+from .datasets import (DEFAULT_HELDOUT_SLOTS, EXPECTED_SLU_GLUE_COUNTS,
+                       SLU_GLUE_SUBTASKS, TASKS, ManifestRecord, MicroCorpusSpec,
+                       build_slurp_zeroshot, fsc_record, generate_micro_corpus,
+                       read_jsonl, read_manifest, slu_glue_record,
+                       spoken_alpaca_record, write_manifest)
+from .experiments import build_micro_model
 from .metrics import (binary_accuracy, corpus_wer, intent_accuracy,
                       perfect_parsing, slu_f1)
-from .model import SluModel, load_model
+from .model import load_model
 from .orchestrator import (infer_manifest, predictions_to_jsonl, read_predictions)
 from .prompts import STRATEGIES
-from .tokenizer import build_vocabulary, default_specials
 from .training import train, write_trace_csv
 
 
@@ -42,16 +46,23 @@ def _load_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_counts(text: str) -> dict[str, int]:
-    """`TASK=N,...` with each TASK one of datasets.TASKS and each N a whole
-    number >= 1; anything else is a ConfigError naming the pair."""
+    """`TASK=N,...` with each TASK one of datasets.TASKS, named once, and each
+    N a whole number >= 1; anything else is a ConfigError naming the pair."""
     counts = {}
     for pair in text.split(","):
         task, _, n = pair.partition("=")
         if task not in TASKS or not n.isdecimal() or int(n) < 1:
             raise ConfigError(f"prepare-data --counts: {pair!r} is not TASK=N with TASK "
                               f"one of {', '.join(TASKS)} and N a whole number >= 1")
+        if task in counts:
+            raise ConfigError(f"prepare-data --counts: {pair!r} names task {task} twice")
         counts[task] = int(n)
     return counts
+
+
+# the source-row builder of each kind that reads --manifest rows
+_ROW_BUILDERS = {"slurp-zeroshot": ManifestRecord.from_dict, "slu-glue": slu_glue_record,
+                 "fsc": fsc_record, "spoken-alpaca": spoken_alpaca_record}
 
 
 def cmd_prepare_data(args) -> int:
@@ -65,18 +76,38 @@ def cmd_prepare_data(args) -> int:
         corpus = generate_micro_corpus(spec, rng, out_dir=out_dir)
         _log(f"micro corpus: " + ", ".join(f"{t}={len(v)}" for t, v in corpus.items()))
         return 0
+    if not args.manifest:
+        raise ConfigError(f"prepare-data --kind {args.kind}: no source rows given "
+                          f"(flag --manifest)")
+    items, meta = read_jsonl(args.manifest, _ROW_BUILDERS[args.kind],
+                             "record" if args.kind == "slurp-zeroshot" else "row")
     if args.kind == "slurp-zeroshot":
-        records, meta = read_manifest(args.manifest)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        heldout = args.heldout.split(",") if args.heldout else None
-        train_recs, test_recs = (build_slurp_zeroshot(records, heldout)
-                                 if heldout else build_slurp_zeroshot(records))
-        write_manifest(out_dir / "train.jsonl", train_recs, meta)
-        write_manifest(out_dir / "test.jsonl", test_recs, meta)
+        heldout = args.heldout.split(",") if args.heldout else DEFAULT_HELDOUT_SLOTS
+        train_recs, test_recs = build_slurp_zeroshot(items, heldout)
+        outputs = {"train": train_recs, "test": test_recs}
         _log(f"zero-shot split: {len(train_recs)} train / {len(test_recs)} test "
              f"(guideline test size is ~18k on the full source corpus)")
-        return 0
-    raise ConfigError(f"unknown prepare-data kind {args.kind!r}")
+    elif args.kind == "slu-glue":
+        outputs = {sub.lower(): [r for r in items if r.annotation["subtask"] == sub]
+                   for sub in SLU_GLUE_SUBTASKS}
+        _log("SLU-GLUE rows per subtask (observed/full source corpus): " + ", ".join(
+            f"{sub} {len(outputs[sub.lower()])}/{n}"
+            for sub, n in EXPECTED_SLU_GLUE_COUNTS.items()))
+        outputs = {name: recs for name, recs in outputs.items() if recs}
+    elif args.kind == "fsc":
+        outputs = {"fsc": items}
+        _log(f"FSC: {len(items)} records")
+    else:
+        kept = [r for r in items if isinstance(r, ManifestRecord)]
+        outputs = {task.lower(): [r for r in kept if r.task == task] for task in ("SIT", "SQIT")}
+        drops = Counter(r for r in items if isinstance(r, str))
+        _log(f"spoken Alpaca: {len(outputs['sit'])} SIT, {len(outputs['sqit'])} SQIT, "
+             f"{sum(drops.values())} dropped"
+             + "".join(f", {reason}={n}" for reason, n in sorted(drops.items())))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, records in outputs.items():
+        write_manifest(out_dir / f"{name}.jsonl", records, meta)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +134,7 @@ def cmd_train(args) -> int:
     if not records:
         raise ConfigError("train: manifests contain no records")
 
-    from .experiments import training_texts
-    from .prompts import PromptBank
-
-    bank = PromptBank.load(cfg.prompts.bank_dir)
-    vocab = build_vocabulary(training_texts(records, bank),
-                             default_specials(cfg.prompts))
-    model = SluModel(cfg, vocab)
+    model = build_micro_model(records, cfg)
     _log(f"training on {len(records)} records "
          f"({len(model.trainable_parameters())} trainable tensors)")
     base_dirs = {rid: path.parent for rid, path in sources.items()}
@@ -355,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare-data", help="build dataset manifests")
-    p.add_argument("--kind", required=True, choices=["micro", "slurp-zeroshot"])
+    p.add_argument("--kind", required=True,
+                   choices=["micro", "slurp-zeroshot", "slu-glue", "fsc", "spoken-alpaca"])
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest", help="source manifest (slurp-zeroshot)")
+    p.add_argument("--manifest", help="source rows, JSON Lines (every kind but micro)")
     p.add_argument("--heldout", help="comma-separated held-out slot types")
     p.add_argument("--counts", help="micro corpus sizes, e.g. IC=10,SF=10")
     p.add_argument("--seed", type=int, default=0)

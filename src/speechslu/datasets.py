@@ -1,14 +1,17 @@
-"""Manifest records and dataset builders.
+"""Manifest records, the one JSON Lines reader, and dataset builders.
 
 Manifests are JSON Lines, one record per line, written canonically so a
 read/write round-trip is byte-identical. Builders cover the zero-shot
 slot split, the FSC intent/slot relabeling, the task-agnostic binary
-benchmark assembly, spoken instruction-tuning construction, and a
-deterministic synthetic micro-corpus for end-to-end tests.
+benchmark assembly (SLU-GLUE), spoken instruction-tuning construction,
+and a deterministic synthetic micro-corpus for end-to-end tests. The FSC,
+SLU-GLUE and spoken-Alpaca builders turn one source row into one record,
+so `read_jsonl` can name the line of a bad row.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -64,6 +67,12 @@ class ManifestRecord:
     annotation: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("id", "audio", "transcript"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"record field {name!r} must be a string, "
+                                f"got {getattr(self, name)!r}")
+        if not isinstance(self.annotation, dict):
+            raise TypeError(f"record annotation must be an object, got {self.annotation!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task tag {self.task!r}")
         missing = [k for k in _REQUIRED[self.task] if self.annotation.get(k) is None]
@@ -96,10 +105,14 @@ def write_manifest(path, records: list[ManifestRecord], meta: dict | None = None
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_manifest(path) -> tuple[list[ManifestRecord], dict | None]:
-    """Records and `_meta` of a manifest; a malformed line, an invalid record
-    or a repeated record id raises ConfigError naming `path:line`."""
-    records, meta = [], None
+def read_jsonl(path, parse, what: str) -> tuple[list, dict | None]:
+    """Items and `_meta` of a JSON Lines file, one `parse(obj)` per object
+    line other than `_meta`. Blank lines are skipped. A malformed line, a
+    line or `_meta` that is not an object, an id that is missing, not a
+    string or repeated, and `parse` raising KeyError, TypeError or
+    ValueError each raise ConfigError naming `path:line`; `what` names an
+    item in those messages."""
+    items, meta = [], None
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -108,21 +121,30 @@ def read_manifest(path) -> tuple[list[ManifestRecord], dict | None]:
             d = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(d, dict):
+        if not isinstance(d, dict) or not isinstance(d.get("_meta", {}), dict):
             raise ConfigError(f"{path}:{lineno}: expected a JSON object")
         if "_meta" in d:
             meta = d["_meta"]
             continue
+        item_id = d.get("id")
+        if item_id is None:
+            raise ConfigError(f"{path}:{lineno}: {what} has no id")
+        if not isinstance(item_id, str):
+            raise ConfigError(f"{path}:{lineno}: {what} id {item_id!r} is not a string")
+        if item_id in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate {what} id {item_id!r} "
+                              f"(first at line {first_line[item_id]})")
+        first_line[item_id] = lineno
         try:
-            record = ManifestRecord.from_dict(d)
+            items.append(parse(d))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{lineno}: invalid record: {exc!r}") from exc
-        if record.id in first_line:
-            raise ConfigError(f"{path}:{lineno}: duplicate record id {record.id!r} "
-                              f"(first at line {first_line[record.id]})")
-        first_line[record.id] = lineno
-        records.append(record)
-    return records, meta
+            raise ConfigError(f"{path}:{lineno}: invalid {what}: {exc!r}") from exc
+    return items, meta
+
+
+def read_manifest(path) -> tuple[list[ManifestRecord], dict | None]:
+    """Records and `_meta` of a manifest (errors as `read_jsonl`)."""
+    return read_jsonl(path, ManifestRecord.from_dict, "record")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +160,7 @@ def build_slurp_zeroshot(records: list[ManifestRecord],
         observed |= r.slot_types()
     unknown = [s for s in heldout_slots if s not in observed]
     if unknown:
-        raise ValueError(f"held-out slot types never observed in the corpus: {unknown}")
+        raise ConfigError(f"held-out slot types never observed in the corpus: {unknown}")
     held = set(heldout_slots)
     train = [r for r in records if not (r.slot_types() & held)]
     test = [r for r in records if r.slot_types() & held]
@@ -149,105 +171,72 @@ def build_slurp_zeroshot(records: list[ManifestRecord],
 # FSC relabeling
 # ---------------------------------------------------------------------------
 
-def _load_fsc_map() -> dict:
-    text = (resources.files("speechslu.data") / "fsc_intent_map.json").read_text("utf-8")
-    return json.loads(text)
-
-
-_FSC_MAP = None
+@functools.lru_cache(maxsize=1)
+def _fsc_map() -> dict:
+    return json.loads((resources.files("speechslu.data") / "fsc_intent_map.json")
+                      .read_text("utf-8"))
 
 
 def remap_fsc(record: dict) -> tuple[str, list[tuple[str, str]]]:
     """(action, object, location) -> (intent, entities) under the 15x2 scheme."""
-    global _FSC_MAP
-    if _FSC_MAP is None:
-        _FSC_MAP = _load_fsc_map()
     try:
         action, obj, location = record["action"], record["object"], record["location"]
     except KeyError as exc:
         raise MissingAnnotation(f"FSC record missing field {exc}") from exc
-    key = f"{action}|{obj}"
-    intent = _FSC_MAP["intents"].get(key)
+    if not all(isinstance(v, str) for v in (action, obj, location)):
+        raise TypeError(f"FSC action, object and location must be strings, "
+                        f"got ({action!r}, {obj!r}, {location!r})")
+    intent = _fsc_map()["intents"].get(f"{action}|{obj}")
     if intent is None:
         raise ValueError(f"unmapped FSC combination ({action}, {obj}, {location})")
     entities: list[tuple[str, str]] = []
-    if obj in _FSC_MAP["language_objects"]:
+    if obj in _fsc_map()["language_objects"]:
         entities.append(("language", obj))
     if location and location != "none":
         entities.append(("location", location))
     return intent, entities
 
 
-def build_fsc(records: list[dict]) -> list[ManifestRecord]:
-    """FSC rows -> IC manifest records carrying the remapped intent + slots."""
-    out = []
-    for i, row in enumerate(records):
-        intent, entities = remap_fsc(row)
-        out.append(ManifestRecord(
-            id=row.get("id", f"fsc-{i:06d}"),
-            audio=row.get("audio") or f"synthetic:{row['transcription']}",
-            transcript=row["transcription"],
-            task="IC",
-            annotation={"intent": intent, "entities": entities}))
-    return out
-
-
-def fsc_inventory() -> tuple[list[str], list[str]]:
-    global _FSC_MAP
-    if _FSC_MAP is None:
-        _FSC_MAP = _load_fsc_map()
-    intents = sorted(set(_FSC_MAP["intents"].values()))
-    return intents, list(_FSC_MAP["slot_types"])
+def fsc_record(row: dict) -> ManifestRecord:
+    """An FSC row {id, transcription, action, object, location, audio?} ->
+    an IC record carrying the remapped intent + slots."""
+    intent, entities = remap_fsc(row)
+    return ManifestRecord(
+        id=row["id"], audio=row.get("audio") or f"synthetic:{row['transcription']}",
+        transcript=row["transcription"], task="IC",
+        annotation={"intent": intent, "entities": entities})
 
 
 # ---------------------------------------------------------------------------
 # task-agnostic binary benchmark
 # ---------------------------------------------------------------------------
 
-def build_slu_glue(records: list[dict]) -> list[ManifestRecord]:
-    """Source rows {subtask, text, paired_text?, label, audio?} -> manifest.
+def slu_glue_record(row: dict) -> ManifestRecord:
+    """A source row {id, subtask, text, paired_text?, label, audio?} -> record.
 
     The per-subtask instruction keeps its [SPEECH] hole (bound to the
     splice at render time); [TEXT] is bound here to the paired sentence.
     """
-    out = []
-    for i, row in enumerate(records):
-        sub = row.get("subtask")
-        if sub == "STS-B":
-            raise ValueError("STS-B is excluded: not suitable for zero-shot evaluation")
-        if sub not in SLU_GLUE_SUBTASKS:
-            raise ValueError(f"unknown sub-task {sub!r}")
-        task, instruction, labels, needs_text = SLU_GLUE_SUBTASKS[sub]
-        label = str(row["label"]).lower()
-        if label not in labels:
-            raise ValueError(f"{sub} label {row['label']!r} not in {labels}")
-        annotation = {"label": label, "binary_labels": list(labels), "subtask": sub}
-        if needs_text:
-            paired = row.get("paired_text")
-            if paired is None:
-                raise MissingAnnotation(f"{sub} record {i} needs paired_text")
-            annotation["paired_text"] = paired
-            annotation["instruction"] = instruction.replace("[TEXT]", paired)
-        else:
-            annotation["instruction"] = instruction
-        out.append(ManifestRecord(
-            id=row.get("id", f"{sub.lower()}-{i:06d}"),
-            audio=row.get("audio") or f"synthetic:{row['text']}",
-            transcript=row["text"],
-            task=task,
-            annotation=annotation))
-    return out
-
-
-def slu_glue_count_report(records: list[ManifestRecord]) -> dict[str, dict]:
-    """Observed vs expected per-subtask sizes (full-source sanity check)."""
-    got: dict[str, int] = {}
-    for r in records:
-        sub = r.annotation.get("subtask", "?")
-        got[sub] = got.get(sub, 0) + 1
-    return {sub: {"observed": got.get(sub, 0), "expected": exp,
-                  "match": got.get(sub, 0) == exp}
-            for sub, exp in EXPECTED_SLU_GLUE_COUNTS.items()}
+    sub = row.get("subtask")
+    if sub == "STS-B":
+        raise ValueError("STS-B is excluded: not suitable for zero-shot evaluation")
+    if sub not in SLU_GLUE_SUBTASKS:
+        raise ValueError(f"unknown sub-task {sub!r}")
+    task, instruction, labels, needs_text = SLU_GLUE_SUBTASKS[sub]
+    label = str(row["label"]).lower()
+    if label not in labels:
+        raise ValueError(f"{sub} label {row['label']!r} not in {labels}")
+    annotation = {"label": label, "binary_labels": list(labels), "subtask": sub}
+    if needs_text:
+        paired = row.get("paired_text")
+        if paired is None:
+            raise MissingAnnotation(f"{sub} row {row['id']} needs paired_text")
+        annotation["paired_text"] = paired
+        annotation["instruction"] = instruction.replace("[TEXT]", paired)
+    else:
+        annotation["instruction"] = instruction
+    return ManifestRecord(id=row["id"], audio=row.get("audio") or f"synthetic:{row['text']}",
+                          transcript=row["text"], task=task, annotation=annotation)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +246,12 @@ def slu_glue_count_report(records: list[ManifestRecord]) -> dict[str, dict]:
 _EQUATION_RE = re.compile(
     r"(\$[^$]+\$|\\\(|\\\[|\\frac|\\sum|\\int|\\sqrt|[=^_]\s*\d|\d\s*[+*/^=]\s*\d)")
 _TABLE_RE = re.compile(r"^\s*\S+(\s*\|\s*\S+){2,}", re.MULTILINE)
+_ALPACA_MAX_WORDS = 60
 
 
-@dataclass
-class AlpacaFilters:
-    max_words: int = 60
-
-
-def _filter_reason(instruction: str, text_input: str, filters: AlpacaFilters) -> str | None:
+def _filter_reason(instruction: str, text_input: str) -> str | None:
     for fld in (instruction, text_input):
-        if len(fld.split()) > filters.max_words:
+        if len(fld.split()) > _ALPACA_MAX_WORDS:
             return "length"
         if _EQUATION_RE.search(fld):
             return "equation"
@@ -277,57 +262,31 @@ def _filter_reason(instruction: str, text_input: str, filters: AlpacaFilters) ->
     return None
 
 
-def build_spoken_alpaca(records: list[dict], filters: AlpacaFilters | None = None
-                        ) -> tuple[list[ManifestRecord], list[ManifestRecord], list[dict]]:
-    """Instruction-tuning rows -> (SIT manifest, SQIT manifest, drop log).
+def spoken_alpaca_record(row: dict) -> ManifestRecord | str:
+    """An instruction-tuning row {id, instruction, input?, output} -> a
+    record, or the reason the row is dropped.
 
-    Rows with a context `input` field become SIT examples: the input is
-    spoken, the instruction stays as the text prompt. Rows without one
-    become SQIT examples: the instruction itself is spoken and no text
+    A row with a context `input` field becomes a SIT record: the input is
+    spoken, the instruction stays as the text prompt. A row without one
+    becomes a SQIT record: the instruction itself is spoken and no text
     prompt is given.
     """
-    filters = filters or AlpacaFilters()
-    sit, sqit, dropped = [], [], []
-    for i, row in enumerate(records):
-        instruction = row.get("instruction", "").strip()
-        output = row.get("output", "").strip()
-        text_input = (row.get("input") or "").strip()
-        if not instruction or not output:
-            dropped.append({"index": i, "reason": "missing-field"})
-            continue
-        reason = _filter_reason(instruction, text_input, filters)
-        if reason:
-            dropped.append({"index": i, "reason": reason})
-            continue
-        if text_input:
-            sit.append(ManifestRecord(
-                id=f"sit-{i:06d}", audio=f"synthetic:{text_input}",
-                transcript=text_input, task="SIT",
-                annotation={"instruction": instruction, "output": output}))
-        else:
-            sqit.append(ManifestRecord(
-                id=f"sqit-{i:06d}", audio=f"synthetic:{instruction}",
-                transcript=instruction, task="SQIT",
-                annotation={"output": output}))
-    return sit, sqit, dropped
-
-
-# ---------------------------------------------------------------------------
-# close-field smart-home subset passthrough
-# ---------------------------------------------------------------------------
-
-def build_smartlight(records: list[ManifestRecord]) -> list[ManifestRecord]:
-    """Validate inventory sizes (at most 6 intents and 3 slot types) of an
-    already-annotated close-field test set."""
-    intents = {r.annotation.get("intent") for r in records if r.annotation.get("intent")}
-    slots = set()
-    for r in records:
-        slots |= r.slot_types()
-    if len(intents) > 6:
-        raise ValueError(f"expected at most 6 intents, found {len(intents)}")
-    if len(slots) > 3:
-        raise ValueError(f"expected at most 3 slot types, found {len(slots)}")
-    return list(records)
+    instruction, text_input, output = (row.get(k) or "" for k in ("instruction", "input",
+                                                                   "output"))
+    if not all(isinstance(v, str) for v in (instruction, text_input, output)):
+        raise TypeError("instruction, input and output must be strings")
+    instruction, text_input, output = instruction.strip(), text_input.strip(), output.strip()
+    if not instruction or not output:
+        return "missing-field"
+    reason = _filter_reason(instruction, text_input)
+    if reason:
+        return reason
+    if text_input:
+        return ManifestRecord(id=row["id"], audio=f"synthetic:{text_input}",
+                              transcript=text_input, task="SIT",
+                              annotation={"instruction": instruction, "output": output})
+    return ManifestRecord(id=row["id"], audio=f"synthetic:{instruction}",
+                          transcript=instruction, task="SQIT", annotation={"output": output})
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +407,20 @@ def _sa_record(i: int, rng) -> ManifestRecord:
     positive = bool(rng.integers(0, 2))
     pool = _SA_POS if positive else _SA_NEG
     transcript = pool[int(rng.integers(0, len(pool)))]
+    _, instruction, labels, _ = SLU_GLUE_SUBTASKS["SST-2"]
     return ManifestRecord(
         id=f"sa-{i:04d}", audio=f"synthetic:{transcript}", transcript=transcript,
-        task="SA", annotation={
-            "label": "positive" if positive else "negative",
-            "binary_labels": ["positive", "negative"],
-            "instruction": "Classify the sentiment of [SPEECH] into positive or negative."})
+        task="SA", annotation={"label": labels[0] if positive else labels[1],
+                               "binary_labels": list(labels), "instruction": instruction})
 
 
-def _pair_record(i: int, rng, task: str, pairs, instruction: str) -> ManifestRecord:
+def _pair_record(i: int, rng, subtask: str, pairs) -> ManifestRecord:
+    task, instruction, labels, _ = SLU_GLUE_SUBTASKS[subtask]
     (speech, paired), label = pairs[int(rng.integers(0, len(pairs)))]
     return ManifestRecord(
         id=f"{task.lower()}-{i:04d}", audio=f"synthetic:{speech}", transcript=speech,
         task=task, annotation={
-            "label": label, "binary_labels": ["yes", "no"], "paired_text": paired,
+            "label": label, "binary_labels": list(labels), "paired_text": paired,
             "instruction": instruction.replace("[TEXT]", paired)})
 
 
@@ -476,12 +435,8 @@ def generate_micro_corpus(spec: MicroCorpusSpec, rng: np.random.Generator,
         "SIT": lambda i: _sit_record(i, rng),
         "SQIT": lambda i: _sqit_record(i, rng),
         "SA": lambda i: _sa_record(i, rng),
-        "SER": lambda i: _pair_record(
-            i, rng, "SER", _SER_PAIRS,
-            "Identify if the question in [SPEECH] is a paraphrase of the question in [TEXT]."),
-        "STER": lambda i: _pair_record(
-            i, rng, "STER", _STER_PAIRS,
-            "Identify if the sentence in [SPEECH] entails the sentence in [TEXT]."),
+        "SER": lambda i: _pair_record(i, rng, "QQP", _SER_PAIRS),
+        "STER": lambda i: _pair_record(i, rng, "RTE", _STER_PAIRS),
     }
     corpus: dict[str, list[ManifestRecord]] = {}
     for task in TASKS:  # fixed iteration order keeps generation deterministic

@@ -225,8 +225,3 @@ class InstructionDecoder:
     def _head(self, x: np.ndarray) -> np.ndarray:
         return ag.layer_norm_kernel(x, self.ln_f_g.data, self.ln_f_b.data) @ self.w_out.data
 
-
-def lora_parameter_count(n_layers: int, d_in: int, d_out: int, rank: int,
-                         n_targets: int = 4) -> int:
-    return n_layers * n_targets * rank * (d_in + d_out)
-

@@ -64,6 +64,9 @@ def training_texts(records: list[ManifestRecord], bank: PromptBank) -> list[str]
 
 
 def build_micro_model(records: list[ManifestRecord], cfg: RunConfig) -> SluModel:
+    """The untrained model `train` starts from: `cfg`'s architecture over a
+    vocabulary that covers the records' training texts (`speechslu train`
+    and the micro recipe alike)."""
     bank = PromptBank.load(cfg.prompts.bank_dir)
     vocab = build_vocabulary(training_texts(records, bank), default_specials(cfg.prompts))
     return SluModel(cfg, vocab)

@@ -32,16 +32,3 @@ def sinusoid_table(n_positions: int, dim: int) -> np.ndarray:
     return table.astype(np.float32)
 
 
-def param_hash(tensors) -> str:
-    """Order-stable digest over parameter payloads (freeze-contract checks)."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for t in tensors:
-        h.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
-    return h.hexdigest()
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-

@@ -134,33 +134,22 @@ def _overlap_counts(pred, gold, unit: str) -> F1Counts:
 
 
 def slu_f1(preds: list[list[tuple[str, str]] | None],
-           golds: list[list[tuple[str, str]]],
-           average: str = "micro") -> dict[str, float]:
-    """Corpus entity F1: exact, word-overlap, char-overlap, and their mean.
+           golds: list[list[tuple[str, str]]]) -> dict[str, float]:
+    """Corpus entity F1 over pooled counts: exact, word-overlap, char-overlap,
+    and the mean of the last two (SLU-F1).
 
-    A None prediction scores as an empty entity set. `average="macro"`
-    averages per-example F1 instead of pooling counts.
+    A None prediction scores as an empty entity set.
     """
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    per_metric = {"exact": [], "word": [], "char": []}
     totals = {"exact": F1Counts(), "word": F1Counts(), "char": F1Counts()}
     for pred, gold in zip(preds, golds):
         p = normalize_entities(pred or [])
         g = normalize_entities(gold)
-        ex = _exact_counts(p, g)
-        wd = _overlap_counts(p, g, "word")
-        ch = _overlap_counts(p, g, "char")
-        for key, c in (("exact", ex), ("word", wd), ("char", ch)):
-            totals[key].add(c)
-            per_metric[key].append(c.f1)
-    if average == "macro":
-        n = max(1, len(golds))
-        out = {f"{k}_f1": sum(v) / n for k, v in per_metric.items()}
-    elif average == "micro":
-        out = {f"{k}_f1": totals[k].f1 for k in totals}
-    else:
-        raise ValueError(f"unknown average {average!r}")
+        totals["exact"].add(_exact_counts(p, g))
+        totals["word"].add(_overlap_counts(p, g, "word"))
+        totals["char"].add(_overlap_counts(p, g, "char"))
+    out = {f"{k}_f1": totals[k].f1 for k in totals}
     out["slu_f1"] = (out["word_f1"] + out["char_f1"]) / 2
     out["counts"] = {k: {"tp": c.tp, "fp": c.fp, "fn": c.fn} for k, c in totals.items()}
     return out

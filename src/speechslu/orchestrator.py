@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import ManifestRecord
-from .errors import ConfigError
+from .datasets import ManifestRecord, read_jsonl
 from .prompts import (STRATEGIES, build_task_prompt, sample_candidate_labels,
                       strategy_turns)
 
@@ -293,33 +292,8 @@ def predictions_to_jsonl(pairs: list[tuple[ManifestRecord, SluResult]],
 
 
 def read_predictions(path) -> tuple[list[dict], dict | None]:
-    """Predictions and `_meta` of a predictions file; a malformed line, a
-    non-object line or `_meta`, a prediction without an id, or a repeated
-    id raises ConfigError naming `path:line`."""
-    from pathlib import Path
-
-    preds, meta = [], None
-    first_line: dict[object, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(d, dict) or not isinstance(d.get("_meta", {}), dict):
-            raise ConfigError(f"{path}:{lineno}: expected a JSON object")
-        if "_meta" in d:
-            meta = d["_meta"]
-        elif "id" not in d:
-            raise ConfigError(f"{path}:{lineno}: prediction has no id")
-        elif d["id"] in first_line:
-            raise ConfigError(f"{path}:{lineno}: duplicate prediction id {d['id']!r} "
-                              f"(first at line {first_line[d['id']]})")
-        else:
-            first_line[d["id"]] = lineno
-            preds.append(d)
-    return preds, meta
+    """Predictions and `_meta` of a predictions file (errors as `read_jsonl`)."""
+    return read_jsonl(path, dict, "prediction")
 
 
 def exact_entity_match(pred, gold) -> bool:

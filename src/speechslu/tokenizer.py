@@ -57,12 +57,6 @@ class Vocabulary:
     def special_id(self, name: str) -> int:
         return self.special_ids[name]
 
-    def special_string(self, name: str) -> str:
-        return self.specials[name]
-
-    def is_special(self, token_id: int) -> bool:
-        return token_id < self.n_specials
-
     def tokenize(self, text: str) -> list[int]:
         cached = self._cache.get(text)
         if cached is not None:

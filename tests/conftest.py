@@ -1,5 +1,7 @@
 """Shared fixtures: a tiny assembled model over a synthetic micro-corpus."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,14 @@ from speechslu.experiments import training_texts as corpus_texts
 from speechslu.model import SluModel
 from speechslu.prompts import PromptBank
 from speechslu.tokenizer import build_vocabulary, default_specials
+
+
+def param_hash(tensors) -> str:
+    """Order-stable digest over parameter payloads (freeze-contract checks)."""
+    h = hashlib.sha256()
+    for t in tensors:
+        h.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    return h.hexdigest()
 
 
 def tiny_run_config(seed=0, **train_kw) -> RunConfig:

@@ -20,12 +20,13 @@ from speechslu.datasets import (DEFAULT_HELDOUT_SLOTS, MicroCorpusSpec,
 from speechslu.decoder import MultimodalSequence
 from speechslu.encoder import SpeechEncoder
 from speechslu.experiments import micro_run_config, run_micro_overfit
-from speechslu.initutil import param_hash
 from speechslu.metrics import (edit_distance, intent_accuracy, normalize_entities,
                                perfect_parsing, slu_f1, wer)
 from speechslu.optim import AdamWState, adamw_step
 from speechslu.orchestrator import infer, spec_for_record
 from speechslu.prompts import PromptBank, build_task_prompt, sample_candidate_labels
+
+from conftest import param_hash
 
 from test_autograd import assert_gradcheck
 from test_decoder import make_decoder

@@ -48,7 +48,8 @@ def test_dim_mismatch_rejected():
 def test_ceil_length_law(t):
     aligner = make_aligner()
     out = aligner.align(ag.Tensor(np.zeros((t, 8), dtype=np.float32)))
-    assert out.data.shape[0] == -(-t // 4) == aligner.out_len(t)
+    after_conv1 = -(-t // 2)  # each stride-2 conv takes the ceiling
+    assert out.data.shape[0] == -(-after_conv1 // 2) == -(-t // 4)
 
 
 def test_adapter_starts_as_identity():

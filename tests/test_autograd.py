@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_non_finite_input_rejected():
     # additive -inf masks are the documented masking mechanism
     ag.softmax(ag.Tensor(np.array([-np.inf, 1.0])))
     ag.add(ag.Tensor(np.array([-np.inf, 1.0])), 1.0)
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    # ten float32 values of 1e38 sum past float32's max (about 3.4e38)
+    big = np.full((1, 10), 1e38, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ag.matmul(ag.Tensor(big), ag.Tensor(np.full((10, 1), 1e-30, dtype=np.float32)))
+        ag.mul(ag.Tensor(big), 0.5)
+    assert np.isfinite(out.data).all()
+    # a non-finite element is still caught
+    big[0, 3] = -np.inf
+    with pytest.raises(NonFiniteInput, match="matmul"):
+        ag.matmul(ag.Tensor(big), ag.Tensor(np.ones((10, 1), dtype=np.float32)))
 
 
 def test_embedding_lookup_gathers_rows(rng):

@@ -34,12 +34,18 @@ def test_prepare_data_micro(tmp_path):
     assert all((tmp_path / r.audio).exists() for r in ic + sf)
 
 
-@pytest.mark.parametrize("counts", ["ic=3", "IC=-2", "IC", "IC=x"])
-def test_prepare_data_rejects_a_bad_count(tmp_path, capsys, counts):
+_NOT_A_COUNT = "is not TASK=N"
+
+
+@pytest.mark.parametrize("counts, message", [
+    ("ic=3", _NOT_A_COUNT), ("IC=-2", _NOT_A_COUNT), ("IC", _NOT_A_COUNT),
+    ("IC=x", _NOT_A_COUNT), ("SF=3", "names task SF twice"),
+], ids=["ic=3", "IC=-2", "IC", "IC=x", "SF=3"])
+def test_prepare_data_rejects_a_bad_count(tmp_path, capsys, counts, message):
     out = tmp_path / "data"
     assert main(["prepare-data", "--kind", "micro", "--out", str(out),
                  "--counts", f"SF=2,{counts}"]) == 2
-    assert f"--counts: '{counts}' is not TASK=N" in capsys.readouterr().err
+    assert f"--counts: '{counts}' {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -62,6 +68,124 @@ def test_prepare_data_slurp_zeroshot(tmp_path):
     test_recs, _ = read_manifest(tmp_path / "split" / "test.jsonl")
     assert {r.id for r in train_recs} == {"r0", "r2"}
     assert len(test_recs) == 5
+
+
+@pytest.mark.parametrize("with_source, heldout, message", [
+    (False, [], "no source rows given (flag --manifest)"),
+    (True, ["--heldout", "no_such_slot"], "held-out slot types never observed"),
+], ids=["no-manifest", "unknown-heldout-slot"])
+def test_prepare_data_slurp_zeroshot_rejects_bad_arguments(tmp_path, capsys, with_source,
+                                                           heldout, message):
+    src = tmp_path / "src.jsonl"
+    write_manifest(src, [ManifestRecord(id="r0", audio="synthetic:the date is noon",
+                                        transcript="the date is noon", task="SF",
+                                        annotation={"entities": [("date", "noon")]})])
+    source = ["--manifest", str(src)] if with_source else []
+    out = tmp_path / "split"
+    assert main(["prepare-data", "--kind", "slurp-zeroshot", "--out", str(out)]
+                + source + heldout) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def test_prepare_data_slu_glue_writes_one_manifest_per_subtask(tmp_path, capsys):
+    src = tmp_path / "glue.jsonl"
+    _write_rows(src, [
+        {"id": "s0", "subtask": "SST-2", "text": "a lovely film", "label": "positive"},
+        {"id": "s1", "subtask": "SST-2", "text": "a dull film", "label": "Negative"},
+        {"id": "q0", "subtask": "QNLI", "text": "the sky is blue",
+         "paired_text": "what colour is the sky", "label": "yes"}])
+    out = tmp_path / "glue"
+    assert main(["prepare-data", "--kind", "slu-glue", "--manifest", str(src),
+                 "--out", str(out)]) == 0
+    assert "SST-2 2/2790, QQP 0/3996, QNLI 1/2718" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["qnli.jsonl", "sst-2.jsonl"]
+    sst2, _ = read_manifest(out / "sst-2.jsonl")
+    qnli, _ = read_manifest(out / "qnli.jsonl")
+    assert [(r.id, r.task, r.annotation["label"]) for r in sst2] == [
+        ("s0", "SA", "positive"), ("s1", "SA", "negative")]
+    assert qnli[0].task == "SER" and "what colour is the sky" in qnli[0].annotation["instruction"]
+
+
+def test_prepare_data_fsc_relabels_rows(tmp_path):
+    src = tmp_path / "fsc_rows.jsonl"
+    _write_rows(src, [
+        {"id": "f0", "action": "increase", "object": "heat", "location": "washroom",
+         "transcription": "turn up the heat in the washroom"},
+        {"id": "f1", "action": "change language", "object": "Korean", "location": "none",
+         "transcription": "switch to korean", "audio": "wavs/f1.wav"}])
+    assert main(["prepare-data", "--kind", "fsc", "--manifest", str(src),
+                 "--out", str(tmp_path / "fsc")]) == 0
+    records, _ = read_manifest(tmp_path / "fsc" / "fsc.jsonl")
+    assert [(r.id, r.audio, r.annotation["intent"], r.annotation["entities"])
+            for r in records] == [
+        ("f0", "synthetic:turn up the heat in the washroom", "increase_heat",
+         [["location", "washroom"]]),
+        ("f1", "wavs/f1.wav", "change_language", [["language", "Korean"]])]
+
+
+def test_prepare_data_spoken_alpaca_splits_and_logs_drops(tmp_path, capsys):
+    src = tmp_path / "alpaca.jsonl"
+    _write_rows(src, [
+        {"id": "a0", "instruction": "Summarize this", "input": "a short story", "output": "x"},
+        {"id": "a1", "instruction": "Name a colour", "input": "", "output": "red"},
+        {"id": "a2", "instruction": "Compute 3 + 4", "output": "7"},
+        {"id": "a3", "instruction": "Say hi", "output": ""}])
+    out = tmp_path / "alpaca"
+    assert main(["prepare-data", "--kind", "spoken-alpaca", "--manifest", str(src),
+                 "--out", str(out)]) == 0
+    assert ("1 SIT, 1 SQIT, 2 dropped, equation=1, missing-field=1"
+            in capsys.readouterr().err)
+    sit, _ = read_manifest(out / "sit.jsonl")
+    sqit, _ = read_manifest(out / "sqit.jsonl")
+    assert [(r.id, r.task) for r in sit + sqit] == [("a0", "SIT"), ("a1", "SQIT")]
+
+
+_RECORD = {"id": "r1", "audio": "synthetic:the date is noon", "transcript": "the date is noon",
+           "task": "SF", "annotation": {"entities": [["date", "noon"]]}}
+
+
+@pytest.mark.parametrize("kind, row, message", [
+    ("slu-glue", {"id": "x", "subtask": "STS-B", "text": "x", "label": "3.2"}, "STS-B"),
+    ("slu-glue", {"id": "x", "subtask": "QQP", "text": "x", "label": "yes"}, "paired_text"),
+    ("slu-glue", {"id": "g0", "subtask": "SST-2", "text": "x", "label": "no"},
+     "duplicate row id 'g0' (first at line 1)"),
+    ("fsc", {"id": "x", "action": "activate", "object": "volume", "location": "none",
+             "transcription": "x"}, "unmapped FSC combination"),
+    ("fsc", {"id": "x", "action": "activate", "object": "lights", "location": ["a"],
+             "transcription": "x"}, "must be strings"),
+    ("fsc", {"action": "activate", "object": "lights", "location": "none",
+             "transcription": "x"}, "row has no id"),
+    ("spoken-alpaca", {"id": "x", "instruction": 5, "output": "x"}, "must be strings"),
+    ("spoken-alpaca", {"id": ["x"], "instruction": "hi", "output": "x"},
+     "row id ['x'] is not a string"),
+    # a manifest record (as train, infer and evaluate read it)
+    ("slurp-zeroshot", {**_RECORD, "id": ["x"]}, "record id ['x'] is not a string"),
+    ("slurp-zeroshot", {**_RECORD, "audio": 5}, "record field 'audio' must be a string"),
+    ("slurp-zeroshot", {**_RECORD, "transcript": None},
+     "record field 'transcript' must be a string"),
+    ("slurp-zeroshot", {**_RECORD, "annotation": [["entities", []]]},
+     "record annotation must be an object"),
+], ids=["stsb", "no-paired-text", "repeated-id", "unmapped-fsc", "fsc-list-location",
+        "no-id", "alpaca-number", "list-id", "record-list-id", "record-number-audio",
+        "record-null-transcript", "record-list-annotation"])
+def test_prepare_data_rejects_a_bad_source_row(tmp_path, capsys, kind, row, message):
+    src = tmp_path / "rows.jsonl"
+    # a first row every kind accepts
+    _write_rows(src, [{**_RECORD, "id": "g0", "subtask": "SST-2", "text": "fine",
+                       "label": "positive", "action": "activate", "object": "lights",
+                       "location": "none", "transcription": "fine", "instruction": "hi",
+                       "output": "x"}, row])
+    out = tmp_path / "out"
+    assert main(["prepare-data", "--kind", kind, "--manifest", str(src),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {src}:2: " in err and message in err
+    assert not out.exists()
 
 
 def test_config_file_round_trip(tmp_path):
@@ -239,7 +363,9 @@ def test_evaluate_reports_parse_failure_and_truncation_rates(tmp_path):
     ('["a", "IC"]', "expected a JSON object"),
     ('{"_meta": 3}', "expected a JSON object"),
     ('{"task": "IC", "intent": "lights_on"}', "prediction has no id"),
-], ids=["malformed", "not-an-object", "meta-not-an-object", "no-id"])
+    ('{"id": ["x"], "task": "IC", "intent": "lights_on"}',
+     "prediction id ['x'] is not a string"),
+], ids=["malformed", "not-an-object", "meta-not-an-object", "no-id", "list-id"])
 def test_evaluate_rejects_a_bad_prediction_line(tmp_path, capsys, line, message):
     gold_path = tmp_path / "gold.jsonl"
     write_manifest(gold_path, _ic_records(2))

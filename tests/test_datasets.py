@@ -1,15 +1,18 @@
 """Dataset builders: split hygiene, relabeling, benchmark assembly, filters,
 manifest round-trips, and the synthetic micro-corpus."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from speechslu.cli import main
 from speechslu.datasets import (DEFAULT_HELDOUT_SLOTS, EXPECTED_SLU_GLUE_COUNTS,
-                                AlpacaFilters, ManifestRecord, MicroCorpusSpec,
-                                build_fsc, build_slu_glue, build_slurp_zeroshot,
-                                build_smartlight, build_spoken_alpaca, fsc_inventory,
-                                generate_micro_corpus, read_manifest, remap_fsc,
-                                slu_glue_count_report, write_manifest)
+                                ManifestRecord, MicroCorpusSpec, build_slurp_zeroshot,
+                                fsc_record, generate_micro_corpus, read_manifest,
+                                remap_fsc, slu_glue_record, spoken_alpaca_record,
+                                write_manifest)
 from speechslu.errors import MissingAnnotation
 
 
@@ -60,6 +63,13 @@ def test_split_rejects_unknown_heldout_type():
 # FSC relabeling
 # ---------------------------------------------------------------------------
 
+def fsc_inventory():
+    """(intents, slot types) of the packaged FSC relabeling map."""
+    fsc_map = json.loads((resources.files("speechslu.data") / "fsc_intent_map.json")
+                         .read_text("utf-8"))
+    return sorted(set(fsc_map["intents"].values())), list(fsc_map["slot_types"])
+
+
 def test_fsc_inventory_sizes():
     intents, slots = fsc_inventory()
     assert len(intents) == 15
@@ -99,14 +109,14 @@ def test_fsc_missing_field():
 
 def test_build_fsc_emits_bounded_inventories():
     rows = [
-        {"action": "activate", "object": "music", "location": "none",
+        {"id": "f0", "action": "activate", "object": "music", "location": "none",
          "transcription": "play the music"},
-        {"action": "increase", "object": "heat", "location": "washroom",
+        {"id": "f1", "action": "increase", "object": "heat", "location": "washroom",
          "transcription": "turn up the heat in the washroom"},
-        {"action": "bring", "object": "shoes", "location": "none",
+        {"id": "f2", "action": "bring", "object": "shoes", "location": "none",
          "transcription": "fetch my shoes"},
     ]
-    records = build_fsc(rows)
+    records = [fsc_record(row) for row in rows]
     intents_all, slots_all = fsc_inventory()
     for r in records:
         assert r.task == "IC"
@@ -119,8 +129,8 @@ def test_build_fsc_emits_bounded_inventories():
 # ---------------------------------------------------------------------------
 
 def test_slu_glue_sst2_row():
-    recs = build_slu_glue([{"subtask": "SST-2", "text": "a lovely film", "label": "positive"}])
-    r = recs[0]
+    r = slu_glue_record({"id": "s0", "subtask": "SST-2", "text": "a lovely film",
+                         "label": "positive"})
     assert r.task == "SA"
     assert "[SPEECH]" in r.annotation["instruction"]
     assert "[TEXT]" not in r.annotation["instruction"]
@@ -128,10 +138,9 @@ def test_slu_glue_sst2_row():
 
 
 def test_slu_glue_qnli_binds_paired_text():
-    recs = build_slu_glue([{
-        "subtask": "QNLI", "text": "the sky is blue",
-        "paired_text": "what colour is the sky", "label": "yes"}])
-    r = recs[0]
+    r = slu_glue_record({
+        "id": "q0", "subtask": "QNLI", "text": "the sky is blue",
+        "paired_text": "what colour is the sky", "label": "yes"})
     assert r.task == "SER"
     assert "what colour is the sky" in r.annotation["instruction"]
     assert "[TEXT]" not in r.annotation["instruction"]
@@ -139,31 +148,38 @@ def test_slu_glue_qnli_binds_paired_text():
 
 def test_slu_glue_groups_subtasks_by_task():
     rows = [
-        {"subtask": "QQP", "text": "a", "paired_text": "b", "label": "no"},
-        {"subtask": "RTE", "text": "c", "paired_text": "d", "label": "yes"},
-        {"subtask": "SciTail", "text": "e", "paired_text": "f", "label": "no"},
+        {"id": "g0", "subtask": "QQP", "text": "a", "paired_text": "b", "label": "no"},
+        {"id": "g1", "subtask": "RTE", "text": "c", "paired_text": "d", "label": "yes"},
+        {"id": "g2", "subtask": "SciTail", "text": "e", "paired_text": "f", "label": "no"},
     ]
-    tasks = [r.task for r in build_slu_glue(rows)]
+    tasks = [slu_glue_record(row).task for row in rows]
     assert tasks == ["SER", "STER", "STER"]
 
 
 def test_slu_glue_rejects_stsb():
     with pytest.raises(ValueError, match="STS-B"):
-        build_slu_glue([{"subtask": "STS-B", "text": "x", "label": "3.2"}])
+        slu_glue_record({"id": "x", "subtask": "STS-B", "text": "x", "label": "3.2"})
 
 
-def test_slu_glue_count_report_matches_full_source():
+def test_slu_glue_count_report_matches_full_source(tmp_path, capsys):
     rows = []
     for sub, n in EXPECTED_SLU_GLUE_COUNTS.items():
         needs_text = sub != "SST-2"
         labels = ("positive", "negative") if sub == "SST-2" else ("yes", "no")
         for i in range(n):
-            row = {"subtask": sub, "text": f"utterance {i}", "label": labels[i % 2]}
+            row = {"id": f"{sub}-{i}", "subtask": sub, "text": f"utterance {i}",
+                   "label": labels[i % 2]}
             if needs_text:
                 row["paired_text"] = f"paired {i}"
             rows.append(row)
-    report = slu_glue_count_report(build_slu_glue(rows))
-    assert all(v["match"] for v in report.values())
+    src = tmp_path / "glue.jsonl"
+    src.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert main(["prepare-data", "--kind", "slu-glue", "--manifest", str(src),
+                 "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    for sub, n in EXPECTED_SLU_GLUE_COUNTS.items():
+        assert f"{sub} {n}/{n}" in err
+        assert len(read_manifest(tmp_path / "out" / f"{sub.lower()}.jsonl")[0]) == n
 
 
 # ---------------------------------------------------------------------------
@@ -171,68 +187,41 @@ def test_slu_glue_count_report_matches_full_source():
 # ---------------------------------------------------------------------------
 
 def test_alpaca_with_input_becomes_sit():
-    sit, sqit, dropped = build_spoken_alpaca([
-        {"instruction": "Summarize the following", "input": "a short paragraph",
-         "output": "summary"}])
-    assert len(sit) == 1 and not sqit and not dropped
-    r = sit[0]
+    r = spoken_alpaca_record({"id": "a0", "instruction": "Summarize the following",
+                              "input": "a short paragraph", "output": "summary"})
     assert r.task == "SIT"
     assert r.transcript == "a short paragraph"          # the input is spoken
     assert r.annotation["instruction"] == "Summarize the following"
 
 
 def test_alpaca_without_input_becomes_sqit():
-    sit, sqit, _ = build_spoken_alpaca([
-        {"instruction": "Name three primary colors", "output": "red, blue, yellow"}])
-    assert not sit and len(sqit) == 1
-    r = sqit[0]
+    r = spoken_alpaca_record({"id": "a0", "instruction": "Name three primary colors",
+                              "output": "red, blue, yellow"})
     assert r.task == "SQIT"
     assert r.transcript == "Name three primary colors"  # the instruction is spoken
     assert "instruction" not in r.annotation
 
 
 def test_alpaca_equation_filtered():
-    _, _, dropped = build_spoken_alpaca([
-        {"instruction": "Simplify \\frac{a}{b} please", "output": "done"}])
-    assert dropped and dropped[0]["reason"] == "equation"
+    assert spoken_alpaca_record({"id": "a0", "instruction": "Simplify \\frac{a}{b} please",
+                                 "output": "done"}) == "equation"
 
 
 def test_alpaca_length_filtered():
-    long_input = " ".join(["word"] * 61)
-    _, _, dropped = build_spoken_alpaca([
-        {"instruction": "Summarize", "input": long_input, "output": "x"}],
-        AlpacaFilters(max_words=60))
-    assert dropped and dropped[0]["reason"] == "length"
+    row = {"id": "a0", "instruction": "Summarize", "output": "x"}
+    assert spoken_alpaca_record({**row, "input": " ".join(["word"] * 61)}) == "length"
+    assert spoken_alpaca_record({**row, "input": " ".join(["word"] * 60)}).task == "SIT"
 
 
 def test_alpaca_table_filtered():
     table = "name | age | city\nann | 3 | rome\nbob | 4 | oslo"
-    _, _, dropped = build_spoken_alpaca([
-        {"instruction": "Read this", "input": table, "output": "x"}])
-    assert dropped and dropped[0]["reason"] == "table"
+    assert spoken_alpaca_record({"id": "a0", "instruction": "Read this", "input": table,
+                                 "output": "x"}) == "table"
 
 
 def test_alpaca_plain_arithmetic_filtered():
-    _, _, dropped = build_spoken_alpaca([
-        {"instruction": "Compute 3 + 4 for me", "output": "7"}])
-    assert dropped and dropped[0]["reason"] == "equation"
-
-
-# ---------------------------------------------------------------------------
-# close-field smart-home passthrough
-# ---------------------------------------------------------------------------
-
-def test_smartlight_validates_inventory_sizes():
-    records = [ManifestRecord(id=f"s{i}", audio="synthetic:turn on", transcript="turn on",
-                              task="IC", annotation={"intent": f"intent_{i % 6}",
-                                                     "entities": []})
-               for i in range(12)]
-    assert len(build_smartlight(records)) == 12
-    bad = records + [ManifestRecord(id="s99", audio="synthetic:x", transcript="x",
-                                    task="IC", annotation={"intent": "intent_7",
-                                                           "entities": []})]
-    with pytest.raises(ValueError, match="intents"):
-        build_smartlight(bad)
+    assert spoken_alpaca_record({"id": "a0", "instruction": "Compute 3 + 4 for me",
+                                 "output": "7"}) == "equation"
 
 
 # ---------------------------------------------------------------------------

@@ -189,13 +189,13 @@ def test_type_confusion_gets_no_credit():
     assert scores["word_f1"] == 0.0
 
 
-def test_macro_flag():
-    preds = [[("a", "x")], [("a", "wrong")]]
-    golds = [[("a", "x")], [("a", "y")]]
-    micro = slu_f1(preds, golds)
-    macro = slu_f1(preds, golds, average="macro")
-    assert macro["exact_f1"] == pytest.approx(0.5)
-    assert micro["exact_f1"] == pytest.approx(0.5)  # 1 TP, 1 FP, 1 FN
+def test_f1_pools_counts_across_examples():
+    # pooled: 1 TP, 0 FP, 3 FN -> P 1, R 0.25, F1 0.4 (a per-example mean would give 0.5)
+    preds = [[("a", "x")], []]
+    golds = [[("a", "x")], [("a", "y"), ("b", "z"), ("c", "w")]]
+    scores = slu_f1(preds, golds)
+    assert scores["exact_f1"] == pytest.approx(0.4)
+    assert scores["counts"]["exact"] == {"tp": 1, "fp": 0, "fn": 3}
 
 
 _slot = st.sampled_from(["date", "time", "place"])

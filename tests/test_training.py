@@ -9,14 +9,13 @@ import pytest
 from speechslu import autograd as ag, training
 from speechslu.datasets import ManifestRecord, MicroCorpusSpec, generate_micro_corpus
 from speechslu.errors import TrainingDiverged
-from speechslu.initutil import param_hash
 from speechslu.decoder import expand_splice
 from speechslu.orchestrator import collect_inventories, infer, spec_for_record
 from speechslu.prompts import STRATEGIES
 from speechslu.training import (PLAIN, assign_config, build_training_sequence,
                                 gold_answer, train, _epoch_stream)
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, param_hash
 
 
 def _sequence_for(model, record, config, seed=0):
@@ -117,7 +116,7 @@ def test_mr_training_masks_both_rounds(tiny_model, micro_corpus):
     vocab = tiny_model.vocab
     first = vocab.detokenize(seq.ids[masked[:gaps[0] + 1]])
     second = vocab.detokenize(seq.ids[masked[gaps[0] + 1:]])
-    eot = vocab.special_string("end_turn")
+    eot = vocab.specials["end_turn"]
     assert first == record.transcript + eot
     assert second == record.annotation["intent"] + eot
 
