@@ -15,7 +15,7 @@ from .decoder import InstructionDecoder, MultimodalSequence
 from .encoder import SpeechEncoder
 from .model import SluModel, load_model
 from .optim import AdamWState, adamw_step
-from .orchestrator import SluResult, TaskSpec, infer
+from .orchestrator import SluResult, infer
 from .tokenizer import Vocabulary, build_vocabulary
 
 __version__ = "0.1.0"
@@ -23,6 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamWState", "InstructionDecoder", "MelSpectrogram", "ModalityAligner",
     "MultimodalSequence", "RunConfig", "SluModel", "SluResult", "SpeechEncoder",
-    "TaskSpec", "Tensor", "Vocabulary", "adamw_step", "backward", "build_vocabulary",
+    "Tensor", "Vocabulary", "adamw_step", "backward", "build_vocabulary",
     "config_hash", "infer", "load_config", "load_model", "log_mel", "synthesize_mel",
 ]

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import write_atomic
 
 LOG_FLOOR = 1e-10
 WINDOW_SECONDS = 0.025
@@ -152,7 +153,8 @@ def load_wav(path) -> tuple[np.ndarray, int]:
 def save_mel(path, mel: MelSpectrogram) -> None:
     n_mels, t = mel.frames.shape
     payload = np.ascontiguousarray(mel.frames, dtype="<f4").tobytes()
-    Path(path).write_bytes(MEL_MAGIC + struct.pack("<II", n_mels, t) + payload)
+    # unsynced (a corpus has one per clip); load_mel rejects a cut file by its header
+    write_atomic(path, MEL_MAGIC + struct.pack("<II", n_mels, t) + payload, sync=False)
 
 
 def load_mel(path) -> MelSpectrogram:

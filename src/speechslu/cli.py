@@ -64,8 +64,15 @@ def _parse_counts(text: str) -> dict[str, int]:
 _ROW_BUILDERS = {"slurp-zeroshot": ManifestRecord.from_dict, "slu-glue": slu_glue_record,
                  "fsc": fsc_record, "spoken-alpaca": spoken_alpaca_record}
 
+# the optional flags each kind reads
+_KIND_FLAGS = {"micro": ("counts", "seed"), "slurp-zeroshot": ("manifest", "heldout"),
+               "slu-glue": ("manifest",), "fsc": ("manifest",), "spoken-alpaca": ("manifest",)}
+
 
 def cmd_prepare_data(args) -> int:
+    for flag in ("manifest", "heldout", "counts", "seed"):
+        if getattr(args, flag) is not None and flag not in _KIND_FLAGS[args.kind]:
+            raise ConfigError(f"prepare-data --kind {args.kind} does not read --{flag}")
     out_dir = Path(args.out)
     if args.kind == "micro":
         spec = MicroCorpusSpec()
@@ -117,7 +124,6 @@ def cmd_prepare_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     out_dir = Path(args.out or cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifests = args.manifest or cfg.manifests
     if not manifests:
         raise ConfigError("train: no manifests given (flag --manifest or config.manifests)")
@@ -217,7 +223,7 @@ def cmd_evaluate(args) -> int:
             intents, entities, intent_golds, entity_golds)
     elif args.task == "binary":
         golds = [r.annotation["label"] for _, r in joined]
-        labels = tuple(joined[0][1].annotation["binary_labels"]) if joined else ("yes", "no")
+        labels = [tuple(r.annotation["binary_labels"]) for _, r in joined]
         guesses = [p.get("binary") for p, _ in joined]
         report["binary_accuracy"] = binary_accuracy(guesses, golds, labels)
     else:
@@ -380,13 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare-data", help="build dataset manifests")
-    p.add_argument("--kind", required=True,
-                   choices=["micro", "slurp-zeroshot", "slu-glue", "fsc", "spoken-alpaca"])
+    p.add_argument("--kind", required=True, choices=list(_KIND_FLAGS))
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", help="source rows, JSON Lines (every kind but micro)")
-    p.add_argument("--heldout", help="comma-separated held-out slot types")
-    p.add_argument("--counts", help="micro corpus sizes, e.g. IC=10,SF=10")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--heldout", help="comma-separated held-out slot types (slurp-zeroshot)")
+    p.add_argument("--counts", help="micro corpus sizes, e.g. IC=10,SF=10 (micro)")
+    p.add_argument("--seed", type=int, help="corpus seed, default 0 (micro)")
     p.set_defaults(func=cmd_prepare_data)
 
     p = sub.add_parser("train", help="train aligner + LoRA on manifests")

@@ -22,20 +22,34 @@ import numpy as np
 
 from .audio import save_mel, synthesize_mel
 from .errors import ConfigError, MissingAnnotation
+from .fileio import write_atomic
 
-TASKS = ("ASR", "IC", "SF", "SQA", "SQIT", "SIT", "SA", "SER", "STER")
 
-# annotation keys each task must carry
-_REQUIRED = {
-    "ASR": (),
-    "IC": ("intent",),
-    "SF": ("entities",),
-    "SQA": ("question", "answer"),
-    "SQIT": ("output",),
-    "SIT": ("instruction", "output"),
-    "SA": ("label", "binary_labels"),
-    "SER": ("label", "binary_labels", "paired_text"),
-    "STER": ("label", "binary_labels", "paired_text"),
+@dataclass(frozen=True)
+class TaskKind:
+    """What a task's record must carry; how it is prompted, trained, budgeted and parsed."""
+    required: tuple[str, ...]   # annotation keys a record must carry
+    answer: str | None          # annotation key of the supervised answer; None: the transcript
+    prompt: str | None          # key of the text instruction; None: a prompt-bank draw, or none
+    parsed: str | None          # the SluResult field the answer parses into
+    long_output: bool = False   # the answer gets the long generation budget
+    plain: bool = False         # trained, and run, in the `alone` dialogue only
+
+
+_BINARY = ("label", "binary_labels", "instruction")
+
+# task tag -> kind, in the fixed order that keeps corpus generation deterministic
+TASKS = {
+    "ASR": TaskKind((), None, None, "transcript", plain=True),
+    "IC": TaskKind(("intent",), "intent", None, "intent"),
+    "SF": TaskKind(("entities",), "entities", None, "entities", long_output=True),
+    "SQA": TaskKind(("question", "answer"), "answer", "question", None, long_output=True),
+    "SQIT": TaskKind(("output",), "output", None, None, long_output=True, plain=True),
+    "SIT": TaskKind(("instruction", "output"), "output", "instruction", None,
+                    long_output=True),
+    "SA": TaskKind(_BINARY, "label", "instruction", "binary"),
+    "SER": TaskKind(_BINARY + ("paired_text",), "label", "instruction", "binary"),
+    "STER": TaskKind(_BINARY + ("paired_text",), "label", "instruction", "binary"),
 }
 
 DEFAULT_HELDOUT_SLOTS = ("podcast_name", "artist_name", "audiobook_name",
@@ -43,15 +57,15 @@ DEFAULT_HELDOUT_SLOTS = ("podcast_name", "artist_name", "audiobook_name",
 
 SLU_GLUE_SUBTASKS = {
     "SST-2": ("SA", "Classify the sentiment of [SPEECH] into positive or negative.",
-              ("positive", "negative"), False),
+              ("positive", "negative")),
     "QQP": ("SER", "Identify if the question in [SPEECH] is a paraphrase of the "
-            "question in [TEXT].", ("yes", "no"), True),
+            "question in [TEXT].", ("yes", "no")),
     "QNLI": ("SER", "Identify if the context in [SPEECH] contains the answer to the "
-             "question in [TEXT].", ("yes", "no"), True),
+             "question in [TEXT].", ("yes", "no")),
     "RTE": ("STER", "Identify if the sentence in [SPEECH] entails the sentence in "
-            "[TEXT].", ("yes", "no"), True),
+            "[TEXT].", ("yes", "no")),
     "SciTail": ("STER", "Identify if the premise in [SPEECH] supports the hypothesis "
-                "in [TEXT].", ("yes", "no"), True),
+                "in [TEXT].", ("yes", "no")),
 }
 
 EXPECTED_SLU_GLUE_COUNTS = {"SST-2": 2790, "QQP": 3996, "QNLI": 2718,
@@ -73,12 +87,18 @@ class ManifestRecord:
                                 f"got {getattr(self, name)!r}")
         if not isinstance(self.annotation, dict):
             raise TypeError(f"record annotation must be an object, got {self.annotation!r}")
-        if self.task not in TASKS:
+        kind = TASKS.get(self.task)
+        if kind is None:
             raise ValueError(f"unknown task tag {self.task!r}")
-        missing = [k for k in _REQUIRED[self.task] if self.annotation.get(k) is None]
+        missing = [k for k in kind.required if self.annotation.get(k) is None]
         if missing:
             raise MissingAnnotation(
                 f"record {self.id}: task {self.task} requires annotation {missing}")
+        labels = self.annotation.get("binary_labels")
+        if kind.parsed == "binary" and (not isinstance(labels, (list, tuple)) or len(labels) != 2
+                                        or self.annotation["label"] not in labels):
+            raise ValueError(f"record {self.id}: label {self.annotation['label']!r} is not "
+                             f"one of its two binary_labels {labels!r}")
 
     def slot_types(self) -> set[str]:
         return {t for t, _ in self.annotation.get("entities", [])}
@@ -102,7 +122,7 @@ def write_manifest(path, records: list[ManifestRecord], meta: dict | None = None
     if meta is not None:
         lines.append(_canon({"_meta": meta}))
     lines.extend(_canon(r.to_dict()) for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_jsonl(path, parse, what: str) -> tuple[list, dict | None]:
@@ -222,19 +242,18 @@ def slu_glue_record(row: dict) -> ManifestRecord:
         raise ValueError("STS-B is excluded: not suitable for zero-shot evaluation")
     if sub not in SLU_GLUE_SUBTASKS:
         raise ValueError(f"unknown sub-task {sub!r}")
-    task, instruction, labels, needs_text = SLU_GLUE_SUBTASKS[sub]
+    task, instruction, labels = SLU_GLUE_SUBTASKS[sub]
     label = str(row["label"]).lower()
     if label not in labels:
         raise ValueError(f"{sub} label {row['label']!r} not in {labels}")
-    annotation = {"label": label, "binary_labels": list(labels), "subtask": sub}
-    if needs_text:
+    annotation = {"label": label, "binary_labels": list(labels), "subtask": sub,
+                  "instruction": instruction}
+    if "paired_text" in TASKS[task].required:
         paired = row.get("paired_text")
         if paired is None:
             raise MissingAnnotation(f"{sub} row {row['id']} needs paired_text")
         annotation["paired_text"] = paired
         annotation["instruction"] = instruction.replace("[TEXT]", paired)
-    else:
-        annotation["instruction"] = instruction
     return ManifestRecord(id=row["id"], audio=row.get("audio") or f"synthetic:{row['text']}",
                           transcript=row["text"], task=task, annotation=annotation)
 
@@ -407,7 +426,7 @@ def _sa_record(i: int, rng) -> ManifestRecord:
     positive = bool(rng.integers(0, 2))
     pool = _SA_POS if positive else _SA_NEG
     transcript = pool[int(rng.integers(0, len(pool)))]
-    _, instruction, labels, _ = SLU_GLUE_SUBTASKS["SST-2"]
+    _, instruction, labels = SLU_GLUE_SUBTASKS["SST-2"]
     return ManifestRecord(
         id=f"sa-{i:04d}", audio=f"synthetic:{transcript}", transcript=transcript,
         task="SA", annotation={"label": labels[0] if positive else labels[1],
@@ -415,7 +434,7 @@ def _sa_record(i: int, rng) -> ManifestRecord:
 
 
 def _pair_record(i: int, rng, subtask: str, pairs) -> ManifestRecord:
-    task, instruction, labels, _ = SLU_GLUE_SUBTASKS[subtask]
+    task, instruction, labels = SLU_GLUE_SUBTASKS[subtask]
     (speech, paired), label = pairs[int(rng.integers(0, len(pairs)))]
     return ManifestRecord(
         id=f"{task.lower()}-{i:04d}", audio=f"synthetic:{speech}", transcript=speech,
@@ -439,7 +458,7 @@ def generate_micro_corpus(spec: MicroCorpusSpec, rng: np.random.Generator,
         "STER": lambda i: _pair_record(i, rng, "RTE", _STER_PAIRS),
     }
     corpus: dict[str, list[ManifestRecord]] = {}
-    for task in TASKS:  # fixed iteration order keeps generation deterministic
+    for task in TASKS:
         count = spec.counts.get(task, 0)
         if count:
             corpus[task] = [makers[task](i) for i in range(count)]

@@ -7,13 +7,13 @@ import secrets
 from pathlib import Path
 
 
-def write_atomic(path, data: bytes | str) -> None:
+def write_atomic(path, data: bytes | str, sync: bool = True) -> None:
     """Write `data` (str as utf-8) to `path` all at once or not at all.
 
-    The bytes go to a temporary file in the target's directory, are synced,
+    The bytes go to a temporary file in the target's directory, are synced
+    if `sync` (skip it only for a format that detects a cut file on read),
     and `os.replace` puts it in place, so a reader sees the previous file or
-    the new one. A write that fails removes the temporary file and leaves the
-    previous file untouched.
+    the new one; a failed write removes the temporary and keeps the previous.
     """
     path = Path(path)
     payload = data.encode("utf-8") if isinstance(data, str) else data
@@ -21,8 +21,9 @@ def write_atomic(path, data: bytes | str) -> None:
     try:
         with open(tmp, "xb") as f:
             f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
+            if sync:
+                f.flush()
+                os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -175,14 +175,14 @@ def perfect_parsing(intents: list[str | None], entity_preds, intent_golds,
 
 
 def binary_accuracy(preds: list[str | None], golds: list[str],
-                    labels: tuple[str, str]) -> float:
-    """Exact-match accuracy over a two-label inventory; None counts as wrong."""
-    if len(preds) != len(golds):
-        raise ValueError(f"length mismatch: {len(preds)} preds vs {len(golds)} golds")
-    norm_labels = {normalize_value(l) for l in labels}
-    for g in golds:
-        if normalize_value(g) not in norm_labels:
-            raise ValueError(f"gold label {g!r} outside binary inventory {labels}")
+                    labels: list[tuple[str, str]]) -> float:
+    """Exact-match accuracy, gold i within its own label pair `labels[i]`; None is wrong."""
+    if not len(preds) == len(golds) == len(labels):
+        raise ValueError(f"length mismatch: {len(preds)} preds, {len(golds)} golds, "
+                         f"{len(labels)} label pairs")
+    for g, pair in zip(golds, labels):
+        if normalize_value(g) not in {normalize_value(l) for l in pair}:
+            raise ValueError(f"gold label {g!r} outside binary inventory {pair}")
     if not golds:
         return 0.0
     hits = sum(1 for p, g in zip(preds, golds)

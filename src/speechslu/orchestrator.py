@@ -10,26 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import ManifestRecord, read_jsonl
-from .prompts import (STRATEGIES, build_task_prompt, sample_candidate_labels,
+from .datasets import TASKS, ManifestRecord, read_jsonl
+from .prompts import (BANK_TASKS, STRATEGIES, build_task_prompt, sample_candidate_labels,
                       strategy_turns)
-
-# tasks whose answer gets the long generation budget
-LONG_OUTPUT_TASKS = ("SF", "SQA", "SQIT", "SIT")
-
-
-@dataclass
-class TaskSpec:
-    task: str                          # ASR | IC | SF | SQA | SQIT | SIT | SA | SER | STER
-    strategy: str = "alone"
-    labels: list[str] = field(default_factory=list)       # IC intents / SF slot types
-    binary_labels: tuple[str, str] | None = None
-    prompt_text: str | None = None     # explicit instruction (QA / binary / SIT tasks)
-    gold: object = None                # gold label(s), used only to seed candidate lists
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
@@ -126,13 +109,15 @@ def parse_binary(text: str, labels: tuple[str, str]) -> str | None:
 
 def parse_slu_output(text: str, task: str, labels=None,
                      binary_labels=None) -> dict:
-    """Structured fields from raw model text; never raises."""
+    """Structured fields from raw model text, filled in the field the task's
+    answer parses into (`datasets.TASKS`); never raises."""
     out: dict = {"intent": None, "entities": None, "binary": None}
-    if task == "IC":
+    field_name = TASKS[task].parsed
+    if field_name == "intent":
         out["intent"] = parse_intent(text, list(labels or []))
-    elif task == "SF":
+    elif field_name == "entities":
         out["entities"] = parse_entities(text)
-    elif task in ("SA", "SER", "STER"):
+    elif field_name == "binary":
         out["binary"] = parse_binary(text, tuple(binary_labels or ("yes", "no")))
     return out
 
@@ -150,64 +135,86 @@ def parse_scot_response(text: str, delimiter: str = "---") -> tuple[str | None, 
 # strategy execution
 # ---------------------------------------------------------------------------
 
-def task_instruction(spec: TaskSpec, model, rng) -> str:
-    """The task-specific instruction, for inference and for training alike.
-
-    IC/SF candidates always hold the gold label(s) when one is known;
-    without one (an SF record with no entities, or a spec built without a
-    gold label) the full inventory is listed, shuffled.
-    """
-    if spec.prompt_text is not None:
-        return spec.prompt_text
-    if spec.task in ("IC", "SF"):
-        if spec.gold is not None:
-            labels = sample_candidate_labels(spec.labels, spec.gold, model.prompt_cfg.k_min, rng)
-        else:
-            labels = list(spec.labels)
-            rng.shuffle(labels)
-        return build_task_prompt(spec.task, labels, model.bank, rng)
-    if spec.task == "ASR":
-        return build_task_prompt("ASR", [], model.bank, rng)
-    raise ValueError(f"task {spec.task} needs an explicit prompt_text")
+def _gold_labels(record: ManifestRecord) -> list[str] | None:
+    """An IC record's intent, an SF record's slot types, else None."""
+    if record.task == "IC":
+        return [record.annotation["intent"]]
+    if record.task == "SF":
+        return sorted(record.slot_types())
+    return None
 
 
-def infer(audio_ref: str, spec: TaskSpec, model, rng: np.random.Generator,
-          base_dir=None) -> SluResult:
-    """Run one example through the configured inference strategy.
+def task_labels(record: ManifestRecord, inventories: dict[str, list[str]] | None) -> list[str]:
+    """The labels an IC/SF record is prompted from and an IC answer parsed against: the
+    run's inventory for the task, else the record's `labels`, else its gold; else []."""
+    gold = _gold_labels(record)
+    if gold is None:
+        return []
+    return list((inventories or {}).get(record.task) or record.annotation.get("labels") or gold)
+
+
+def task_instruction(record: ManifestRecord, inventories: dict[str, list[str]] | None,
+                     model, rng) -> str:
+    """A record's task instruction, for inference and for training alike:
+    the annotation its task names, else a draw from the task's prompt bank,
+    else none (SQIT: the spoken query is the instruction). IC/SF candidates
+    always hold the gold label(s); an SF record with no entities lists the
+    whole inventory, shuffled."""
+    key = TASKS[record.task].prompt
+    if key is not None:
+        return record.annotation[key]
+    if record.task not in BANK_TASKS:
+        return ""
+    labels = task_labels(record, inventories)
+    gold = _gold_labels(record)
+    if gold:
+        labels = sample_candidate_labels(labels, gold, model.prompt_cfg.k_min, rng)
+    else:
+        rng.shuffle(labels)
+    return build_task_prompt(record.task, labels, model.bank, rng)
+
+
+def infer(record: ManifestRecord, strategy: str, model, rng: np.random.Generator,
+          inventories: dict[str, list[str]] | None = None, base_dir=None) -> SluResult:
+    """Run one record through an inference strategy. A plain task runs
+    `alone` under any strategy: it is the one dialogue it is trained in.
 
     `alone` draws the task instruction only; `scot` and `mr` draw the ASR
     prompt, then the task instruction (`mr`'s round-1 transcription, which
     runs in between, draws nothing).
     """
-    speech = model.embed_audio(audio_ref, base_dir).data
-    result = SluResult(task=spec.task, strategy=spec.strategy)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    kind = TASKS[record.task]
+    strategy = "alone" if kind.plain else strategy
+    speech = model.embed_audio(record.audio, base_dir).data
+    result = SluResult(task=record.task, strategy=strategy)
     delim = model.prompt_cfg.scot_delimiter
     icfg = model.infer_cfg
-    max_new = icfg.max_new_long if spec.task in LONG_OUTPUT_TASKS else icfg.max_new_short
-    asr_prompt = (None if spec.strategy == "alone"
-                  else build_task_prompt("ASR", [], model.bank, rng))
-    instruction = task_instruction(spec, model, rng)
-    if spec.strategy == "scot":
+    max_new = icfg.max_new_long if kind.long_output else icfg.max_new_short
+    asr_prompt = None if strategy == "alone" else build_task_prompt("ASR", [], model.bank, rng)
+    instruction = task_instruction(record, inventories, model, rng)
+    if strategy == "scot":
         max_new = icfg.max_new_long
-    elif spec.strategy == "mr":  # round 1 transcribes, round 2 answers from the transcript
+    elif strategy == "mr":  # round 1 transcribes, round 2 answers from the transcript
         transcript, result.truncated, rendered = model.generate(
             strategy_turns("alone", asr_prompt), speech, icfg.max_new_short)
         result.transcript = transcript.strip()
         result.round_prompts.append(rendered)
-    turns = strategy_turns(spec.strategy, instruction, asr_prompt, result.transcript, delim)
+    turns = strategy_turns(strategy, instruction, asr_prompt, result.transcript, delim)
 
     text, truncated, rendered = model.generate(turns, speech, max_new)
     result.raw_text = text
     result.truncated = result.truncated or truncated
     result.round_prompts.append(rendered)
     result.n_generations = len(result.round_prompts)
-    if spec.strategy == "scot":
+    if strategy == "scot":
         result.transcript, text = parse_scot_response(text, delim)
-    elif spec.strategy == "alone" and spec.task == "ASR":
+    elif kind.parsed == "transcript":
         result.transcript = text.strip()
 
-    parsed = parse_slu_output(text, spec.task,
-                              labels=spec.labels, binary_labels=spec.binary_labels)
+    parsed = parse_slu_output(text, record.task, labels=task_labels(record, inventories),
+                              binary_labels=record.annotation.get("binary_labels"))
     result.intent = parsed["intent"]
     result.entities = parsed["entities"]
     result.binary = parsed["binary"]
@@ -225,32 +232,6 @@ def _example_rng(seed: int, example_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def spec_for_record(record: ManifestRecord, strategy: str,
-                    inventories: dict[str, list[str]] | None = None) -> TaskSpec:
-    ann = record.annotation
-    inventories = inventories or {}
-    if record.task == "IC":
-        labels = list(inventories.get("IC") or ann.get("labels") or [ann["intent"]])
-        return TaskSpec("IC", strategy, labels=labels, gold=ann["intent"])
-    if record.task == "SF":
-        gold_types = sorted({t for t, _ in ann["entities"]})
-        labels = list(inventories.get("SF") or ann.get("labels") or gold_types)
-        return TaskSpec("SF", strategy, labels=labels, gold=gold_types or None)
-    if record.task == "ASR":
-        return TaskSpec("ASR", strategy)
-    if record.task in ("SA", "SER", "STER"):
-        return TaskSpec(record.task, strategy,
-                        binary_labels=tuple(ann["binary_labels"]),
-                        prompt_text=ann["instruction"])
-    if record.task == "SQA":
-        return TaskSpec("SQA", strategy, prompt_text=ann["question"])
-    if record.task == "SIT":
-        return TaskSpec("SIT", strategy, prompt_text=ann["instruction"])
-    if record.task == "SQIT":
-        return TaskSpec("SQIT", strategy, prompt_text="")
-    raise ValueError(f"no task spec for {record.task}")
-
-
 def infer_manifest(records: list[ManifestRecord], model, strategy: str, seed: int,
                    base_dir=None,
                    inventories: dict[str, list[str]] | None = None
@@ -259,9 +240,9 @@ def infer_manifest(records: list[ManifestRecord], model, strategy: str, seed: in
         inventories = collect_inventories(records)
     out = []
     for record in records:
-        spec = spec_for_record(record, strategy, inventories)
         rng = _example_rng(seed, record.id)
-        out.append((record, infer(record.audio, spec, model, rng, base_dir=base_dir)))
+        out.append((record, infer(record, strategy, model, rng, inventories=inventories,
+                                  base_dir=base_dir)))
     return out
 
 

@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .datasets import ManifestRecord
+from .datasets import TASKS, ManifestRecord
 from .decoder import MultimodalSequence, expand_splice
-from .errors import MissingAnnotation, NonFiniteInput, TrainingDiverged
+from .errors import NonFiniteInput, TrainingDiverged
 from .fileio import write_atomic
 from .model import SluModel
 from .optim import AdamWState, adamw_step, clip_global_norm
-from .orchestrator import collect_inventories, spec_for_record, task_instruction
+from .orchestrator import collect_inventories, task_instruction
 from .prompts import (STRATEGIES, DialogueTurn, build_task_prompt, render_chat,
                       scot_target, strategy_turns)
 
@@ -26,37 +26,30 @@ PLAIN = "plain"
 
 def assign_config(record: ManifestRecord, rng: np.random.Generator,
                   probs=(1 / 3, 1 / 3, 1 / 3)) -> str:
-    """SLU tasks draw one of the three strategy configs; ASR and spoken-query
-    instruction examples always train in plain single-task form."""
-    if record.task in ("ASR", "SQIT"):
+    """SLU tasks draw one of the three strategy configs; a plain task
+    (`datasets.TASKS`) always trains in plain single-task form."""
+    if TASKS[record.task].plain:
         return PLAIN
     idx = int(rng.choice(len(STRATEGIES), p=np.asarray(probs) / np.sum(probs)))
     return STRATEGIES[idx]
 
 
 def gold_answer(record: ManifestRecord) -> str:
-    """The supervised answer string for a record's task."""
-    ann = record.annotation
-    if record.task == "ASR":
+    """The supervised answer: the annotation the record's task names (entities
+    as a JSON object of slot type -> value), else the transcript."""
+    key = TASKS[record.task].answer
+    if key is None:
         return record.transcript
-    if record.task == "IC":
-        return ann["intent"]
-    if record.task == "SF":
-        obj: dict[str, object] = {}
-        for t, v in ann["entities"]:
-            if t in obj:
-                prev = obj[t]
-                obj[t] = prev + [v] if isinstance(prev, list) else [prev, v]
-            else:
-                obj[t] = v
-        return json.dumps(obj, ensure_ascii=False)
-    if record.task == "SQA":
-        return ann["answer"]
-    if record.task in ("SQIT", "SIT"):
-        return ann["output"]
-    if record.task in ("SA", "SER", "STER"):
-        return ann["label"]
-    raise MissingAnnotation(f"no supervised target for task {record.task}")
+    if key != "entities":
+        return record.annotation[key]
+    obj: dict[str, object] = {}
+    for t, v in record.annotation["entities"]:
+        if t in obj:
+            prev = obj[t]
+            obj[t] = prev + [v] if isinstance(prev, list) else [prev, v]
+        else:
+            obj[t] = v
+    return json.dumps(obj, ensure_ascii=False)
 
 
 @dataclass
@@ -73,9 +66,7 @@ def build_training_sequence(record: ManifestRecord, config: str, model: SluModel
     `alone`), with its assistant target, and mask the supervised spans."""
     vocab, pcfg = model.vocab, model.prompt_cfg
     asr_prompt = build_task_prompt("ASR", [], model.bank, rng)
-    # the instruction inference would give this record; a spec's strategy
-    # does not change it
-    instruction = task_instruction(spec_for_record(record, "alone", inventories), model, rng)
+    instruction = task_instruction(record, inventories, model, rng)
     strategy = "alone" if config == PLAIN else config
     answer = gold_answer(record)
     if strategy == "scot":

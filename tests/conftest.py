@@ -61,9 +61,9 @@ def tiny_model(flat_records):
 @pytest.fixture
 def fail_writes(monkeypatch):
     """Call it to make every later atomic write fail after its bytes reached
-    the temporary file (`monkeypatch.undo()` ends that)."""
+    the temporary file, synced or not (`monkeypatch.undo()` ends that)."""
     def arm():
-        def boom(fd):
+        def boom(src, dst):
             raise OSError("disk full")
-        monkeypatch.setattr(fileio.os, "fsync", boom)
+        monkeypatch.setattr(fileio.os, "replace", boom)
     return arm

@@ -23,7 +23,7 @@ from speechslu.experiments import micro_run_config, run_micro_overfit
 from speechslu.metrics import (edit_distance, intent_accuracy, normalize_entities,
                                perfect_parsing, slu_f1, wer)
 from speechslu.optim import AdamWState, adamw_step
-from speechslu.orchestrator import infer, spec_for_record
+from speechslu.orchestrator import infer
 from speechslu.prompts import PromptBank, build_task_prompt, sample_candidate_labels
 
 from conftest import param_hash
@@ -224,8 +224,7 @@ def test_criterion_7_strategy_contracts(tiny_model, micro_corpus):
         record = micro_corpus["IC"][0]
         by_strategy = {}
         for strategy in ("alone", "scot", "mr"):
-            spec = spec_for_record(record, strategy)
-            by_strategy[strategy] = infer(record.audio, spec, tiny_model,
+            by_strategy[strategy] = infer(record, strategy, tiny_model,
                                           np.random.default_rng(7))
         assert by_strategy["alone"].n_generations == 1
         assert by_strategy["scot"].n_generations == 1

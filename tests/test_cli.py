@@ -7,7 +7,8 @@ import pytest
 
 from speechslu.cli import main
 from speechslu.config import config_from_dict, load_config, save_config
-from speechslu.datasets import (ManifestRecord, read_manifest, write_manifest)
+from speechslu.datasets import (ManifestRecord, read_manifest, slu_glue_record,
+                                write_manifest)
 from speechslu.errors import ConfigError
 from speechslu.experiments import micro_run_config
 
@@ -70,20 +71,27 @@ def test_prepare_data_slurp_zeroshot(tmp_path):
     assert len(test_recs) == 5
 
 
-@pytest.mark.parametrize("with_source, heldout, message", [
-    (False, [], "no source rows given (flag --manifest)"),
-    (True, ["--heldout", "no_such_slot"], "held-out slot types never observed"),
-], ids=["no-manifest", "unknown-heldout-slot"])
-def test_prepare_data_slurp_zeroshot_rejects_bad_arguments(tmp_path, capsys, with_source,
-                                                           heldout, message):
+@pytest.mark.parametrize("kind, with_source, flags, message", [
+    ("slurp-zeroshot", False, [], "no source rows given (flag --manifest)"),
+    ("slurp-zeroshot", True, ["--heldout", "no_such_slot"],
+     "held-out slot types never observed"),
+    ("fsc", True, ["--counts", "IC=2"], "--kind fsc does not read --counts"),
+    ("fsc", True, ["--heldout", "foo"], "--kind fsc does not read --heldout"),
+    ("fsc", True, ["--seed", "3"], "--kind fsc does not read --seed"),
+    ("slurp-zeroshot", True, ["--seed", "0"], "--kind slurp-zeroshot does not read --seed"),
+    ("micro", False, ["--heldout", "foo"], "--kind micro does not read --heldout"),
+    ("micro", True, [], "--kind micro does not read --manifest"),
+], ids=["no-manifest", "unknown-heldout-slot", "fsc-counts", "fsc-heldout", "fsc-seed",
+        "slurp-zeroshot-seed", "micro-heldout", "micro-manifest"])
+def test_prepare_data_rejects_bad_arguments(tmp_path, capsys, kind, with_source, flags,
+                                            message):
     src = tmp_path / "src.jsonl"
     write_manifest(src, [ManifestRecord(id="r0", audio="synthetic:the date is noon",
                                         transcript="the date is noon", task="SF",
                                         annotation={"entities": [("date", "noon")]})])
     source = ["--manifest", str(src)] if with_source else []
     out = tmp_path / "split"
-    assert main(["prepare-data", "--kind", "slurp-zeroshot", "--out", str(out)]
-                + source + heldout) == 2
+    assert main(["prepare-data", "--kind", kind, "--out", str(out)] + source + flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -170,9 +178,16 @@ _RECORD = {"id": "r1", "audio": "synthetic:the date is noon", "transcript": "the
      "record field 'transcript' must be a string"),
     ("slurp-zeroshot", {**_RECORD, "annotation": [["entities", []]]},
      "record annotation must be an object"),
+    ("slurp-zeroshot", {**_RECORD, "task": "SA", "annotation": {
+        "label": "positive", "binary_labels": ["positive", "negative"]}},
+     "task SA requires annotation ['instruction']"),
+    ("slurp-zeroshot", {**_RECORD, "task": "SA", "annotation": {
+        "label": "maybe", "binary_labels": ["positive", "negative"], "instruction": "x"}},
+     "label 'maybe' is not one of its two binary_labels"),
 ], ids=["stsb", "no-paired-text", "repeated-id", "unmapped-fsc", "fsc-list-location",
         "no-id", "alpaca-number", "list-id", "record-list-id", "record-number-audio",
-        "record-null-transcript", "record-list-annotation"])
+        "record-null-transcript", "record-list-annotation", "record-sa-no-instruction",
+        "record-label-outside-pair"])
 def test_prepare_data_rejects_a_bad_source_row(tmp_path, capsys, kind, row, message):
     src = tmp_path / "rows.jsonl"
     # a first row every kind accepts
@@ -358,6 +373,25 @@ def test_evaluate_reports_parse_failure_and_truncation_rates(tmp_path):
         assert out["truncation_rate"] == 0.5
 
 
+def test_evaluate_binary_scores_each_record_against_its_own_pair(tmp_path):
+    # SLU-GLUE subtasks with different label pairs in one gold manifest
+    gold_path = tmp_path / "gold.jsonl"
+    write_manifest(gold_path, [
+        slu_glue_record({"id": "s0", "subtask": "SST-2", "text": "a lovely film",
+                         "label": "positive"}),
+        slu_glue_record({"id": "q0", "subtask": "QQP", "text": "is it on",
+                         "paired_text": "is it switched on", "label": "yes"})])
+    preds_path = tmp_path / "p.jsonl"
+    preds_path.write_text("".join(
+        json.dumps({"id": rid, "task": "SA", "strategy": "alone", "binary": binary,
+                    "truncated": False}) + "\n"
+        for rid, binary in (("s0", "positive"), ("q0", "no"))), encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--task", "binary", "--pred", str(preds_path),
+                 "--gold", str(gold_path), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["binary_accuracy"] == 0.5
+
+
 @pytest.mark.parametrize("line, message", [
     ('{"id": "a", "task": "IC", "intent": ', "malformed JSON"),
     ('["a", "IC"]', "expected a JSON object"),
@@ -439,7 +473,7 @@ def test_train_rejects_a_record_id_in_two_manifests(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ic-0" in err
     assert str(tmp_path / "a" / "ic.jsonl") in err and str(tmp_path / "b" / "ic.jsonl") in err
-    assert not (tmp_path / "run" / "checkpoint.sslc").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def _ic_records(n):
@@ -458,7 +492,7 @@ def test_train_rejects_a_manifest_repeating_an_id(tmp_path, capsys):
                  "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{path}:4: duplicate record id 'ic-1' (first at line 2)" in err
-    assert not (tmp_path / "run" / "checkpoint.sslc").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_infer_rejects_a_malformed_manifest_line(trained_run, tmp_path, capsys):

@@ -2,6 +2,7 @@
 audio is resolved, and storing an encoder output only when its source
 comes back."""
 
+import dataclasses
 import os
 from collections import Counter
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import pytest
 from speechslu import model as model_mod
 from speechslu.audio import load_mel, save_mel, source_key, synthesize_mel
 from speechslu.encoder import SpeechEncoder
-from speechslu.orchestrator import infer, spec_for_record
+from speechslu.orchestrator import infer
 from speechslu.training import train
 
 from conftest import build_tiny_model
@@ -58,8 +59,8 @@ def _direct(model, path):
 def test_one_pass_over_distinct_sources_stores_nothing(model, micro_corpus):
     record = micro_corpus["IC"][0]
     for i in range(5):
-        spec = spec_for_record(record, "mr")
-        infer(f"synthetic:clip number {i}", spec, model, np.random.default_rng(i))
+        clip = dataclasses.replace(record, audio=f"synthetic:clip number {i}")
+        infer(clip, "mr", model, np.random.default_rng(i))
     assert model._enc_cache == {}
     assert len(model._seen) == 5
 

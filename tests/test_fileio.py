@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from speechslu.audio import save_mel, synthesize_mel
 from speechslu.checkpoint import save_checkpoint
 from speechslu.config import RunConfig, save_config
+from speechslu.datasets import ManifestRecord, write_manifest
 from speechslu.fileio import write_atomic
 from speechslu.tokenizer import Vocabulary, default_specials
 from speechslu.training import TraceRow, TrainResult, write_trace_csv
@@ -33,8 +35,13 @@ def _trace():
     return TrainResult(trace=[TraceRow(step=1, task="IC", config="alone", loss=0.5)])
 
 
+_RECORD = ManifestRecord(id="r", audio="synthetic:turn on", transcript="turn on", task="IC",
+                         annotation={"intent": "lights_on"})
+
 WRITERS = {
     "checkpoint": lambda path: save_checkpoint(path, {"w": np.ones(3, np.float32)}, "ab"),
+    "manifest": lambda path: write_manifest(path, [_RECORD, _RECORD]),
+    "mel": lambda path: save_mel(path, synthesize_mel("turn on the light")),
     "vocabulary": lambda path: Vocabulary(default_specials(), ["turn", "on"]).save(path),
     "config": lambda path: save_config(RunConfig(), path),
     "trace": lambda path: write_trace_csv(path, _trace(), "ab"),

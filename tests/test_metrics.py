@@ -134,13 +134,20 @@ def test_intent_accuracy_cases():
 
 
 def test_binary_accuracy_cases():
-    labels = ("yes", "no")
-    assert binary_accuracy(["yes", "no"], ["yes", "no"], labels) == 1.0
-    assert binary_accuracy(["no", "yes"], ["yes", "no"], labels) == 0.0
+    labels = [("yes", "no")] * 4
+    assert binary_accuracy(["yes", "no"], ["yes", "no"], labels[:2]) == 1.0
+    assert binary_accuracy(["no", "yes"], ["yes", "no"], labels[:2]) == 0.0
     assert binary_accuracy([None, "yes", None, "no"], ["yes", "yes", "no", "no"],
                            labels) == 0.5
     with pytest.raises(ValueError, match="outside"):
-        binary_accuracy(["yes"], ["maybe"], labels)
+        binary_accuracy(["yes"], ["maybe"], labels[:1])
+    # each gold is checked against its own pair (SST-2 and QQP in one manifest)
+    mixed = [("positive", "negative"), ("yes", "no")]
+    assert binary_accuracy(["positive", "yes"], ["positive", "no"], mixed) == 0.5
+    with pytest.raises(ValueError, match="outside"):
+        binary_accuracy(["yes", "yes"], ["yes", "yes"], mixed)
+    with pytest.raises(ValueError, match="length"):
+        binary_accuracy(["yes"], ["yes"], mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from speechslu.orchestrator import (infer, infer_manifest, parse_binary,
                                     parse_entities, parse_intent,
                                     parse_scot_response, parse_slu_output,
                                     predictions_to_jsonl, read_predictions,
-                                    spec_for_record)
+                                    task_labels)
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -104,36 +104,32 @@ def test_parse_slu_output_total_on_any_string(text, task):
 # strategy contracts (tiny untrained model: outputs are noise, contracts hold)
 # ---------------------------------------------------------------------------
 
-def ic_spec(strategy, micro_corpus):
+def ic_infer(strategy, micro_corpus, tiny_model):
     record = micro_corpus["IC"][0]
-    return record, spec_for_record(record, strategy)
+    return record, infer(record, strategy, tiny_model, np.random.default_rng(0))
 
 
 def test_alone_is_one_generation_with_null_transcript(tiny_model, micro_corpus):
-    record, spec = ic_spec("alone", micro_corpus)
-    res = infer(record.audio, spec, tiny_model, np.random.default_rng(0))
+    record, res = ic_infer("alone", micro_corpus, tiny_model)
     assert res.n_generations == 1
     assert res.transcript is None
     assert res.raw_text is not None
 
 
 def test_scot_is_one_generation(tiny_model, micro_corpus):
-    record, spec = ic_spec("scot", micro_corpus)
-    res = infer(record.audio, spec, tiny_model, np.random.default_rng(0))
+    record, res = ic_infer("scot", micro_corpus, tiny_model)
     assert res.n_generations == 1
     assert len(res.round_prompts) == 1
 
 
 def test_mr_is_two_generations(tiny_model, micro_corpus):
-    record, spec = ic_spec("mr", micro_corpus)
-    res = infer(record.audio, spec, tiny_model, np.random.default_rng(0))
+    record, res = ic_infer("mr", micro_corpus, tiny_model)
     assert res.n_generations == 2
     assert len(res.round_prompts) == 2
 
 
 def test_mr_round2_prompt_contains_round1_transcript(tiny_model, micro_corpus):
-    record, spec = ic_spec("mr", micro_corpus)
-    res = infer(record.audio, spec, tiny_model, np.random.default_rng(0))
+    record, res = ic_infer("mr", micro_corpus, tiny_model)
     assert res.transcript is not None
     assert res.transcript in res.round_prompts[1]
 
@@ -150,26 +146,23 @@ def test_mr_conditioning_is_live_at_string_level(tiny_model):
 
 def test_asr_task_fills_transcript(tiny_model, micro_corpus):
     record = micro_corpus["ASR"][0]
-    spec = spec_for_record(record, "alone")
-    res = infer(record.audio, spec, tiny_model, np.random.default_rng(0))
+    res = infer(record, "alone", tiny_model, np.random.default_rng(0))
     assert res.transcript == res.raw_text.strip()
 
 
 def test_binary_task_routes_instruction(tiny_model, micro_corpus):
     record = micro_corpus["SA"][0]
-    spec = spec_for_record(record, "alone")
-    assert spec.binary_labels == ("positive", "negative")
-    res = infer(record.audio, spec, tiny_model, np.random.default_rng(0))
+    res = infer(record, "alone", tiny_model, np.random.default_rng(0))
     assert res.n_generations == 1
+    assert res.binary in (None, "positive", "negative")  # parsed against its own pair
     # the rendered prompt must carry the instruction with the splice bound
     assert "sentiment" in res.round_prompts[0]
     assert tiny_model.prompt_cfg.speech_placeholder in res.round_prompts[0]
 
 
 def test_unparseable_output_yields_nulls_not_crash(tiny_model, micro_corpus):
-    record, spec = ic_spec("alone", micro_corpus)
-    res = infer(record.audio, spec, tiny_model, np.random.default_rng(0))
-    assert res.intent is None or res.intent in spec.labels
+    record, res = ic_infer("alone", micro_corpus, tiny_model)
+    assert res.intent is None or res.intent in task_labels(record, None)
 
 
 def test_infer_manifest_and_predictions_round_trip(tmp_path, tiny_model, micro_corpus):

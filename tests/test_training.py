@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from speechslu import autograd as ag, training
-from speechslu.datasets import ManifestRecord, MicroCorpusSpec, generate_micro_corpus
+from speechslu.datasets import TASKS, ManifestRecord, MicroCorpusSpec, generate_micro_corpus
 from speechslu.errors import TrainingDiverged
 from speechslu.decoder import expand_splice
-from speechslu.orchestrator import collect_inventories, infer, spec_for_record
+from speechslu.orchestrator import collect_inventories, infer
 from speechslu.prompts import STRATEGIES
 from speechslu.training import (PLAIN, assign_config, build_training_sequence,
                                 gold_answer, train, _epoch_stream)
@@ -152,6 +152,29 @@ def test_binary_task_trains_under_every_config(tiny_model, micro_corpus):
         assert seq.loss_mask.any()
 
 
+# a value for every annotation key some task requires
+_ANNOTATION_VALUES = {
+    "intent": "lights_on", "entities": [["room", "kitchen"]], "question": "what colour",
+    "answer": "red", "output": "red", "instruction": "Classify [SPEECH] as yes or no.",
+    "label": "yes", "binary_labels": ["yes", "no"], "paired_text": "is it on"}
+
+
+@pytest.mark.parametrize("task", list(TASKS))
+def test_a_record_with_only_its_required_keys_trains_and_infers(tiny_model, task):
+    kind = TASKS[task]
+    record = ManifestRecord(id=f"min-{task}", audio="synthetic:turn on the light",
+                            transcript="turn on the light", task=task,
+                            annotation={k: _ANNOTATION_VALUES[k] for k in kind.required})
+    for config in (PLAIN,) if kind.plain else STRATEGIES:
+        example, _ = _sequence_for(tiny_model, record, config)
+        assert example.n_supervised > 0, config
+    for strategy in STRATEGIES:
+        res = infer(record, strategy, tiny_model, np.random.default_rng(0))
+        # a plain task runs `alone`, the one dialogue it is trained in
+        ran = "alone" if kind.plain else strategy
+        assert (res.strategy, res.n_generations) == (ran, 2 if ran == "mr" else 1)
+
+
 def _offset_expansion(rendered, speech_len, placeholder):
     """Reference: ids expanded as a list and the assistant spans shifted
     past the splice by offset arithmetic."""
@@ -181,7 +204,7 @@ def test_expand_splice_expands_the_mask_with_the_ids(tiny_model, micro_corpus, m
     placeholder = tiny_model.vocab.special_id("speech_placeholder")
     checked = 0
     for task, records in micro_corpus.items():
-        configs = (PLAIN,) if task in ("ASR", "SQIT") else STRATEGIES
+        configs = (PLAIN,) if TASKS[task].plain else STRATEGIES
         for record, config, seed in itertools.product(records, configs, range(4)):
             rendered.clear()
             example, _ = _sequence_for(tiny_model, record, config, seed=seed)
@@ -226,8 +249,7 @@ def test_training_prompt_is_the_inference_prompt(tiny_model, micro_corpus, flat_
     for record in micro_corpus["IC"] + micro_corpus["SF"]:
         for seed in (0, 1):
             prompts.clear()
-            spec = spec_for_record(record, strategy, inventories)
-            res = infer(record.audio, spec, tiny_model, np.random.default_rng(seed))
+            res = infer(record, strategy, tiny_model, np.random.default_rng(seed), inventories)
             example = build_training_sequence(
                 record, strategy, tiny_model, inventories, np.random.default_rng(seed),
                 tiny_model.embed_audio(record.audio).data.shape[0])
@@ -420,9 +442,6 @@ def test_single_example_memorization_and_reproduction(micro_corpus):
                              strategy_probs=(1.0, 0.0, 0.0))
     result = train([record], model, epochs=120)
     assert result.mean_recent_loss(5) < 0.05
-    from speechslu.orchestrator import infer, spec_for_record
-
-    spec = spec_for_record(record, "alone")
-    res = infer(record.audio, spec, model, np.random.default_rng(0))
+    res = infer(record, "alone", model, np.random.default_rng(0))
     assert res.raw_text.strip() == record.annotation["intent"]  # exact string
     assert res.intent == record.annotation["intent"]
