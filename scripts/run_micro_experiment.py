@@ -12,7 +12,6 @@ import sys
 import time
 from pathlib import Path
 
-from speechslu.config import save_config
 from speechslu.experiments import MICRO_EPOCHS, run_micro_overfit
 from speechslu.training import write_trace_csv
 
@@ -38,7 +37,6 @@ def main(argv=None) -> int:
     if args.out:
         out = Path(args.out)
         model.save(out)
-        save_config(model.cfg, out / "config.json")
         write_trace_csv(out / "loss_trace.csv", report.train_result, model.config_hash)
         print(f"artifacts written to {out}")
     return 0

@@ -33,7 +33,6 @@ _FRAME_BLOCK = 256
 @dataclass
 class MelSpectrogram:
     frames: np.ndarray          # [n_mels, T_mel] float32
-    frame_rate: float = 100.0
     n_mels: int = 80
 
     def __post_init__(self):
@@ -122,7 +121,7 @@ def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
     np.maximum(mel, LOG_FLOOR, out=mel)
     np.log(mel, out=mel)
     logmel[...] = mel.T
-    return MelSpectrogram(frames=logmel, frame_rate=1.0 / HOP_SECONDS, n_mels=n_mels)
+    return MelSpectrogram(frames=logmel, n_mels=n_mels)
 
 
 def load_wav(path) -> tuple[np.ndarray, int]:

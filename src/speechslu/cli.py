@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, save_config
-from .errors import ConfigError
+from .config import RunConfig, load_config
+from .errors import ConfigError, MissingAnnotation
 from .fileio import write_atomic
 from .datasets import (DEFAULT_HELDOUT_SLOTS, EXPECTED_SLU_GLUE_COUNTS,
                        SLU_GLUE_SUBTASKS, TASKS, ManifestRecord, MicroCorpusSpec,
@@ -146,7 +146,6 @@ def cmd_train(args) -> int:
     base_dirs = {rid: path.parent for rid, path in sources.items()}
     result = train(records, model, epochs=args.epochs, base_dirs=base_dirs)
     model.save(out_dir)
-    save_config(cfg, out_dir / "config.json")
     write_trace_csv(out_dir / "loss_trace.csv", result, model.config_hash)
     _log(f"done: {result.steps} steps, last loss/token {result.final_loss:.4f}")
     return 0
@@ -174,17 +173,25 @@ def cmd_infer(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _join(preds: list[dict], records) -> list[tuple[dict, object]]:
-    by_id = {r.id: r for r in records}
-    missing = [p["id"] for p in preds if p["id"] not in by_id]
-    if missing:
-        raise ConfigError(f"evaluate: prediction ids missing from gold manifest: {missing[:5]}")
-    return [(p, by_id[p["id"]]) for p in preds]
-
-
-# the parsed fields each task's metric reads; None in any is a parse failure
-_PARSED_FIELDS = {"ic": ("intent",), "sf": ("entities",), "binary": ("binary",),
-                  "pp": ("intent", "entities")}
+# evaluate task -> (the annotation keys a gold record must carry, the prediction
+# fields whose None is a parse failure, its report entries from the predictions
+# and their gold records)
+_EVAL_TASKS = {
+    "asr": ((), (), lambda ps, gs: {"wer": corpus_wer(
+        [g.transcript for g in gs], [p.get("transcript") or "" for p in ps])}),
+    "ic": (("intent",), ("intent",), lambda ps, gs: {"intent_accuracy": intent_accuracy(
+        [p.get("intent") for p in ps], [g.annotation["intent"] for g in gs])}),
+    "sf": (("entities",), ("entities",), lambda ps, gs: slu_f1(
+        [p.get("entities") for p in ps], [g.annotation["entities"] for g in gs])),
+    "pp": (("intent", "entities"), ("intent", "entities"), lambda ps, gs: {
+        "perfect_parsing": perfect_parsing(
+            [p.get("intent") for p in ps], [p.get("entities") for p in ps],
+            [g.annotation["intent"] for g in gs], [g.annotation["entities"] for g in gs])}),
+    "binary": (("label", "binary_labels"), ("binary",), lambda ps, gs: {
+        "binary_accuracy": binary_accuracy(
+            [p.get("binary") for p in ps], [g.annotation["label"] for g in gs],
+            [g.annotation["binary_labels"] for g in gs])}),
+}
 
 
 def _share(flags: list[bool]) -> float:
@@ -192,46 +199,34 @@ def _share(flags: list[bool]) -> float:
 
 
 def cmd_evaluate(args) -> int:
+    reads, parsed, metric = _EVAL_TASKS[args.task]
     preds, meta = read_predictions(args.pred)
-    records, _ = read_manifest(args.gold)
-    joined = _join(preds, records)
-    report: dict[str, object] = {"task": args.task, "n_examples": len(joined)}
+    named = {p["id"] for p in preds}
+
+    def gold_record(d: dict) -> ManifestRecord:
+        # only the records a prediction names are scored, so only they are checked
+        record = ManifestRecord.from_dict(d)
+        missing = [k for k in reads if record.annotation.get(k) is None]
+        if missing and record.id in named:
+            raise MissingAnnotation(f"record {record.id}: evaluate --task {args.task} "
+                                    f"reads annotation {missing}")
+        return record
+
+    records, _ = read_jsonl(args.gold, gold_record, "record")
+    by_id = {r.id: r for r in records}
+    unknown = [p["id"] for p in preds if p["id"] not in by_id]
+    if unknown:
+        raise ConfigError(f"evaluate: prediction ids missing from gold manifest: {unknown[:5]}")
+    golds = [by_id[p["id"]] for p in preds]
+    report: dict[str, object] = {"task": args.task, "n_examples": len(preds)}
     if meta:
         report["config_hash"] = meta.get("config_hash")
         report["strategy"] = meta.get("strategy")
-
-    if args.task == "asr":
-        refs = [r.transcript for _, r in joined]
-        hyps = [(p.get("transcript") or "") for p, _ in joined]
-        report["wer"] = corpus_wer(refs, hyps)
-    elif args.task == "ic":
-        golds = [r.annotation["intent"] for _, r in joined]
-        guesses = [p.get("intent") for p, _ in joined]
-        report["intent_accuracy"] = intent_accuracy(guesses, golds)
-    elif args.task == "sf":
-        golds = [[tuple(e) for e in r.annotation["entities"]] for _, r in joined]
-        guesses = [p.get("entities") for p, _ in joined]
-        guesses = [[tuple(e) for e in g] if g else None for g in guesses]
-        report.update(slu_f1(guesses, golds))
-    elif args.task == "pp":
-        intent_golds = [r.annotation["intent"] for _, r in joined]
-        entity_golds = [[tuple(e) for e in r.annotation.get("entities", [])]
-                        for _, r in joined]
-        intents = [p.get("intent") for p, _ in joined]
-        entities = [[tuple(e) for e in (p.get("entities") or [])] for p, _ in joined]
-        report["perfect_parsing"] = perfect_parsing(
-            intents, entities, intent_golds, entity_golds)
-    elif args.task == "binary":
-        golds = [r.annotation["label"] for _, r in joined]
-        labels = [tuple(r.annotation["binary_labels"]) for _, r in joined]
-        guesses = [p.get("binary") for p, _ in joined]
-        report["binary_accuracy"] = binary_accuracy(guesses, golds, labels)
-    else:
-        raise ConfigError(f"unknown evaluate task {args.task!r}")
-    if args.task in _PARSED_FIELDS:
+    report.update(metric(preds, golds))
+    if parsed:
         report["parse_failure_rate"] = _share(
-            [any(p.get(f) is None for f in _PARSED_FIELDS[args.task]) for p, _ in joined])
-    report["truncation_rate"] = _share([p.get("truncated") is True for p, _ in joined])
+            [any(p.get(f) is None for f in parsed) for p in preds])
+    report["truncation_rate"] = _share([p.get("truncated") is True for p in preds])
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -410,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score predictions against gold manifests")
-    p.add_argument("--task", required=True, choices=["asr", "ic", "sf", "pp", "binary"])
+    p.add_argument("--task", required=True, choices=list(_EVAL_TASKS))
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", help="also write the JSON report here")

@@ -6,7 +6,8 @@ slot split, the FSC intent/slot relabeling, the task-agnostic binary
 benchmark assembly (SLU-GLUE), spoken instruction-tuning construction,
 and a deterministic synthetic micro-corpus for end-to-end tests. The FSC,
 SLU-GLUE and spoken-Alpaca builders turn one source row into one record,
-so `read_jsonl` can name the line of a bad row.
+so `read_jsonl` can name the line of a bad row; the micro-corpus builds its
+SLU-GLUE and instruction-tuning records through them too.
 """
 
 from __future__ import annotations
@@ -410,37 +411,29 @@ def _sqa_record(i: int, rng) -> ManifestRecord:
 def _sit_record(i: int, rng) -> ManifestRecord:
     n = int(rng.integers(2, 5))
     phrase = " ".join(_ASR_WORDS[int(rng.integers(0, len(_ASR_WORDS)))] for _ in range(n))
-    return ManifestRecord(
-        id=f"sit-{i:04d}", audio=f"synthetic:{phrase}", transcript=phrase,
-        task="SIT", annotation={"instruction": "Repeat the spoken words exactly.",
-                                "output": phrase})
+    return spoken_alpaca_record({"id": f"sit-{i:04d}", "input": phrase, "output": phrase,
+                                 "instruction": "Repeat the spoken words exactly."})
 
 
 def _sqit_record(i: int, rng) -> ManifestRecord:
     q, a = _SQIT_PAIRS[int(rng.integers(0, len(_SQIT_PAIRS)))]
-    return ManifestRecord(id=f"sqit-{i:04d}", audio=f"synthetic:{q}", transcript=q,
-                          task="SQIT", annotation={"output": a})
+    return spoken_alpaca_record({"id": f"sqit-{i:04d}", "instruction": q, "output": a})
 
 
 def _sa_record(i: int, rng) -> ManifestRecord:
     positive = bool(rng.integers(0, 2))
     pool = _SA_POS if positive else _SA_NEG
-    transcript = pool[int(rng.integers(0, len(pool)))]
-    _, instruction, labels = SLU_GLUE_SUBTASKS["SST-2"]
-    return ManifestRecord(
-        id=f"sa-{i:04d}", audio=f"synthetic:{transcript}", transcript=transcript,
-        task="SA", annotation={"label": labels[0] if positive else labels[1],
-                               "binary_labels": list(labels), "instruction": instruction})
+    text = pool[int(rng.integers(0, len(pool)))]
+    labels = SLU_GLUE_SUBTASKS["SST-2"][2]
+    return slu_glue_record({"id": f"sa-{i:04d}", "subtask": "SST-2", "text": text,
+                            "label": labels[0] if positive else labels[1]})
 
 
 def _pair_record(i: int, rng, subtask: str, pairs) -> ManifestRecord:
-    task, instruction, labels = SLU_GLUE_SUBTASKS[subtask]
-    (speech, paired), label = pairs[int(rng.integers(0, len(pairs)))]
-    return ManifestRecord(
-        id=f"{task.lower()}-{i:04d}", audio=f"synthetic:{speech}", transcript=speech,
-        task=task, annotation={
-            "label": label, "binary_labels": list(labels), "paired_text": paired,
-            "instruction": instruction.replace("[TEXT]", paired)})
+    (text, paired), label = pairs[int(rng.integers(0, len(pairs)))]
+    return slu_glue_record({"id": f"{SLU_GLUE_SUBTASKS[subtask][0].lower()}-{i:04d}",
+                            "subtask": subtask, "text": text, "paired_text": paired,
+                            "label": label})
 
 
 def generate_micro_corpus(spec: MicroCorpusSpec, rng: np.random.Generator,

@@ -11,7 +11,7 @@ from . import autograd as ag
 from .aligner import ModalityAligner
 from .audio import resolve_audio, source_key
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_hash
+from .config import RunConfig, config_hash, load_config, save_config
 from .decoder import InstructionDecoder, expand_splice
 from .encoder import SpeechEncoder
 from .errors import ConfigError, ShapeMismatch
@@ -100,11 +100,13 @@ class SluModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, out_dir) -> None:
+        """Write every file `load_model` reads: checkpoint, vocab and config."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         params = {name: p.data for name, p in self.named_parameters().items()}
         save_checkpoint(out / "checkpoint.sslc", params, self.config_hash)
         self.vocab.save(out / "vocab.json")
+        save_config(self.cfg, out / "config.json")
 
     def load_weights(self, checkpoint_path) -> str:
         """Load every parameter; returns the checkpoint's config hash."""
@@ -129,8 +131,6 @@ def load_model(run_dir, cfg: RunConfig | None = None) -> SluModel:
 
     Raises ConfigError when the checkpoint was saved under a config whose
     hash differs from the run's (or `cfg`'s)."""
-    from .config import load_config
-
     run_dir = Path(run_dir)
     if cfg is None:
         cfg = load_config(run_dir / "config.json")

@@ -247,14 +247,12 @@ def infer_manifest(records: list[ManifestRecord], model, strategy: str, seed: in
 
 
 def collect_inventories(records: list[ManifestRecord]) -> dict[str, list[str]]:
-    intents, slots = set(), set()
+    """Each IC/SF task's labels: every record's `labels` and gold label(s), sorted."""
+    inventories: dict[str, set[str]] = {"IC": set(), "SF": set()}
     for r in records:
-        if r.task == "IC":
-            intents.update(r.annotation.get("labels") or [r.annotation["intent"]])
-        if r.task == "SF":
-            slots.update(r.annotation.get("labels") or [])
-            slots |= r.slot_types()
-    return {"IC": sorted(intents), "SF": sorted(slots)}
+        if r.task in inventories:
+            inventories[r.task].update(r.annotation.get("labels") or [], _gold_labels(r))
+    return {task: sorted(labels) for task, labels in inventories.items()}
 
 
 def predictions_to_jsonl(pairs: list[tuple[ManifestRecord, SluResult]],

@@ -14,7 +14,6 @@ from .errors import TurnOrderError
 from .tokenizer import Vocabulary
 
 SPEECH_SENTINEL = "[SPEECH]"
-TEXT_SENTINEL = "[TEXT]"
 
 DEFAULT_ASR_PROMPT = "Transcribe the spoken utterance into text."
 

@@ -266,6 +266,15 @@ def test_checkpoint_parameter_namespaces(trained_run):
     assert any(name.startswith("lora.layers.0.q.A") for name in params)
 
 
+def test_model_save_writes_every_file_load_model_reads(tiny_model, tmp_path):
+    from speechslu.model import load_model
+
+    tiny_model.save(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.sslc", "config.json",
+                                                          "vocab.json"]
+    assert load_model(tmp_path).config_hash == tiny_model.config_hash
+
+
 def test_model_reload_reproduces_generation(trained_run):
     from speechslu.model import load_model
     from speechslu.orchestrator import infer_manifest
@@ -429,6 +438,61 @@ def test_evaluate_rejects_a_repeated_prediction_id(tmp_path, capsys):
     assert (f"config error: {preds_path}:4: duplicate prediction id 'ic-0' (first at line 2)"
             in capsys.readouterr().err)
     assert not report.exists()
+
+
+def _evaluate_one(tmp_path, task, gold):
+    """`evaluate --task TASK` of one prediction for id `a` against the gold
+    records `gold`; returns (exit code, gold path, report path)."""
+    gold_path = tmp_path / "gold.jsonl"
+    write_manifest(gold_path, gold)
+    preds_path = tmp_path / "p.jsonl"
+    preds_path.write_text(json.dumps({"id": "a", "task": gold[0].task, "intent": "on",
+                                      "entities": [], "binary": "yes", "transcript": "on",
+                                      "truncated": False}) + "\n", encoding="utf-8")
+    report = tmp_path / "r.json"
+    rc = main(["evaluate", "--task", task, "--pred", str(preds_path),
+               "--gold", str(gold_path), "--out", str(report)])
+    return rc, gold_path, report
+
+
+def _gold(rid, task, **annotation):
+    return ManifestRecord(id=rid, audio="synthetic:on", transcript="on", task=task,
+                          annotation=annotation)
+
+
+@pytest.mark.parametrize("task, gold, missing", [
+    ("binary", _gold("a", "IC", intent="on"), ["label", "binary_labels"]),
+    ("sf", _gold("a", "IC", intent="on"), ["entities"]),
+    ("pp", _gold("a", "IC", intent="on"), ["entities"]),
+    ("ic", _gold("a", "SF", entities=[["room", "on"]]), ["intent"]),
+], ids=["binary-on-ic", "sf-on-ic", "pp-on-ic", "ic-on-sf"])
+def test_evaluate_rejects_gold_that_lacks_what_its_task_reads(tmp_path, capsys, task, gold,
+                                                              missing):
+    rc, gold_path, report = _evaluate_one(tmp_path, task, [gold])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {gold_path}:1: " in err
+    assert f"evaluate --task {task} reads annotation {missing}" in err
+    assert not report.exists()
+
+
+def test_evaluate_checks_only_the_gold_records_predictions_name(tmp_path):
+    # record b lacks the entities `pp` reads, but no prediction names it
+    rc, _, report = _evaluate_one(tmp_path, "pp", [_gold("a", "IC", intent="on", entities=[]),
+                                                   _gold("b", "IC", intent="off")])
+    assert rc == 0
+    out = json.loads(report.read_text())
+    assert out["n_examples"] == 1 and out["perfect_parsing"] == 1.0
+
+
+def test_train_inventory_holds_an_intent_its_labels_omit(tmp_path):
+    # the IC inventory is every record's labels plus its own intent
+    path = tmp_path / "ic.jsonl"
+    write_manifest(path, [_gold("a", "IC", intent="on", labels=["off", "up"])])
+    cfg_path = tmp_path / "run.json"
+    save_config(micro_run_config(seed=5), cfg_path)
+    assert main(["train", "--config", str(cfg_path), "--manifest", str(path),
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
 
 
 def _two_corpora(root, ids):

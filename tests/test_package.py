@@ -19,8 +19,12 @@ def test_every_exported_name_resolves():
 
 
 def _public_definitions(tree: ast.Module):
-    """Public module-level functions and classes, and public methods."""
+    """Public module-level functions, classes and constants, and public methods."""
     for node in tree.body:
+        targets = ([node.target] if isinstance(node, ast.AnnAssign)
+                   else node.targets if isinstance(node, ast.Assign) else [])
+        yield from (t.id for t in targets
+                    if isinstance(t, ast.Name) and not t.id.startswith("_"))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name
             if isinstance(node, ast.ClassDef):
@@ -30,15 +34,15 @@ def _public_definitions(tree: ast.Module):
 
 
 def _named(tree: ast.Module) -> set[str]:
-    """Every identifier a module uses: names, attributes, imports, and the
-    words of its string literals other than docstrings (a tracer patches
-    functions by name)."""
+    """Every identifier a module uses: names it reads (not those it only
+    assigns), attributes, imports, and the words of its string literals
+    other than docstrings (a tracer patches functions by name)."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
                   and ast.get_docstring(node, clean=False) is not None}
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
