@@ -33,6 +33,7 @@ import sys
 import numpy as np
 
 from speechslu.experiments import run_micro_overfit
+from speechslu.prompts import STRATEGIES
 
 
 def _sha(lines) -> str:
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
     print(f"generations {_sha(generations)}")
     print(f"{len(report.train_result.trace)} trace rows, {len(generations)} generations, "
           f"final per-token loss {report.final_per_token_loss:.5f}", file=sys.stderr)
-    for strategy in ("alone", "scot", "mr"):
+    for strategy in STRATEGIES:
         print(f"{strategy}: IC {report.ic_hits[strategy]}/10, SF {report.sf_hits[strategy]}/10",
               file=sys.stderr)
     return 0

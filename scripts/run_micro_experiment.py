@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from speechslu.experiments import MICRO_EPOCHS, run_micro_overfit
+from speechslu.prompts import STRATEGIES
 from speechslu.training import write_trace_csv
 
 
@@ -29,7 +30,7 @@ def main(argv=None) -> int:
 
     print(f"\nfinal per-token loss: {report.final_per_token_loss:.4f}")
     print(f"{'strategy':<10} {'IC hits':>8} {'SF exact sets':>14}")
-    for strategy in ("alone", "scot", "mr"):
+    for strategy in STRATEGIES:
         print(f"{strategy:<10} {report.ic_hits[strategy]:>6}/10 "
               f"{report.sf_hits[strategy]:>11}/10")
     print(f"elapsed: {minutes:.1f} min")

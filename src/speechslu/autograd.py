@@ -89,16 +89,6 @@ class Tensor:
         tag = "train" if self.trainable else "fixed"
         return f"Tensor(name={self.name!r}, shape={self.data.shape}, {tag}, op={self.op!r})"
 
-    # operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))

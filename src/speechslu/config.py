@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .fileio import write_atomic
@@ -133,36 +136,48 @@ class RunConfig:
                 f"aligner.d_enc ({self.aligner.d_enc}) != encoder.d_enc ({self.encoder.d_enc})")
 
 
+def _conforms(value, tp) -> bool:
+    """Whether a JSON value fits the field type `tp` (a tuple type: a list of
+    its length; a float: any number; no bool passes as a number)."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)):
+            return False
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and _conforms(v, args[1]) for k, v in value.items())
+    if origin is UnionType:
+        return any(_conforms(value, t) for t in args)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+# each config class's field types, evaluated from their annotation strings once
+_type_hints = functools.cache(get_type_hints)
+
+
 def _from_mapping(cls, data: dict, prefix: str = ""):
     fields = {f.name: f for f in dataclasses.fields(cls)}
+    types = _type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         if key not in fields:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        ftype = fields[key].type
-        if isinstance(value, dict) and not ftype.startswith("dict"):
-            sub = _SUBCONFIGS.get(key)
-            if sub is None:
-                raise ConfigError(f"unknown config section: {prefix}{key}")
-            value = _from_mapping(sub, value, prefix=f"{prefix}{key}.")
-        elif isinstance(value, list) and ftype.startswith("tuple"):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        tp = types[key]
+        if dataclasses.is_dataclass(tp):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix}{key}: section must be an object, got {value!r}")
+            value = _from_mapping(tp, value, prefix=f"{prefix}{key}.")
+        elif not _conforms(value, tp):
+            raise ConfigError(f"{prefix}{key}: expected {fields[key].type}, got {value!r}")
+        elif get_origin(tp) is tuple:
+            value = tuple(value)
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config for {cls.__name__}: {exc}") from exc
-
-
-_SUBCONFIGS = {
-    "encoder": EncoderConfig,
-    "aligner": AlignerConfig,
-    "decoder": DecoderConfig,
-    "lora": LoraConfig,
-    "prompts": PromptConfig,
-    "infer": InferConfig,
-    "train": TrainConfig,
-}
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -172,11 +187,13 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ConfigError("top level must be an object")
+        return config_from_dict(data)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -73,6 +73,14 @@ EXPECTED_SLU_GLUE_COUNTS = {"SST-2": 2790, "QQP": 3996, "QNLI": 2718,
                             "RTE": 2088, "SciTail": 2736}
 
 
+def check_entities(entities, owner: str) -> None:
+    """ValueError unless `entities` is None or a list of [slot type, value] string pairs."""
+    if entities is not None and not (isinstance(entities, (list, tuple)) and all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(x, str) for x in e)
+            for e in entities)):
+        raise ValueError(f"{owner}: entities {entities!r} are not [slot type, value] string pairs")
+
+
 @dataclass
 class ManifestRecord:
     id: str
@@ -95,6 +103,7 @@ class ManifestRecord:
         if missing:
             raise MissingAnnotation(
                 f"record {self.id}: task {self.task} requires annotation {missing}")
+        check_entities(self.annotation.get("entities"), f"record {self.id}")
         labels = self.annotation.get("binary_labels")
         if kind.parsed == "binary" and (not isinstance(labels, (list, tuple)) or len(labels) != 2
                                         or self.annotation["label"] not in labels):
@@ -102,7 +111,7 @@ class ManifestRecord:
                              f"one of its two binary_labels {labels!r}")
 
     def slot_types(self) -> set[str]:
-        return {t for t, _ in self.annotation.get("entities", [])}
+        return {t for t, _ in self.annotation.get("entities") or []}
 
     def to_dict(self) -> dict:
         return {"id": self.id, "audio": self.audio, "transcript": self.transcript,

@@ -174,7 +174,7 @@ class InstructionDecoder:
     # -- inference path (numpy kernels, KV cache local to the call) ----------
 
     def generate_greedy(self, seq: MultimodalSequence, speech: np.ndarray | None,
-                        max_new: int, stop_id: int | None = None) -> GenerationResult:
+                        max_new: int) -> GenerationResult:
         """Greedy decoding from a rendered prompt; ties break to the lowest id.
 
         Stops at the end-of-turn token (excluded from the result) or after
@@ -182,8 +182,7 @@ class InstructionDecoder:
         """
         if max_new < 1:
             raise ValueError("max_new must be >= 1")
-        if stop_id is None:
-            stop_id = self.vocab.special_id("end_turn")
+        stop_id = self.vocab.special_id("end_turn")
         if speech is not None:
             speech = ag.Tensor(np.asarray(speech, dtype=np.float32))
         x = self.embed(seq, speech).data

@@ -12,11 +12,8 @@ class ShapeMismatch(ValueError):
 class NonFiniteInput(ValueError):
     """An operation received NaN/inf values where finite data is required."""
 
-    def __init__(self, op: str, detail: str = ""):
-        msg = f"{op}: non-finite input"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    def __init__(self, op: str):
+        super().__init__(f"{op}: non-finite input")
         self.op = op
 
 

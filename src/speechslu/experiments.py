@@ -16,11 +16,12 @@ from .config import (AlignerConfig, DecoderConfig, EncoderConfig, LoraConfig,
 from .datasets import ManifestRecord, MicroCorpusSpec, generate_micro_corpus
 from .model import SluModel
 from .orchestrator import SluResult, exact_entity_match, infer_manifest
-from .prompts import SF_FORMAT_CLAUSE, PromptBank, strategy_turns
+from .prompts import SF_FORMAT_CLAUSE, STRATEGIES, PromptBank, strategy_turns
 from .tokenizer import build_vocabulary, default_specials
 from .training import TrainResult, gold_answer, train
 
 CORPUS_SEED = 2024
+INFER_SEED = 99
 MICRO_EPOCHS = 1800
 
 
@@ -42,12 +43,12 @@ def micro_run_config(seed: int = 7) -> RunConfig:
     )
 
 
-def training_texts(records: list[ManifestRecord], bank: PromptBank) -> list[str]:
+def training_texts(records: list[ManifestRecord], bank: PromptBank, delimiter: str) -> list[str]:
     """Everything the vocabulary must cover to tokenize training sequences
-    compactly: roles, template literals, prompts, transcripts, targets.
-    Chat-template marker strings are reserved ids, never vocabulary words."""
+    compactly: roles, template literals (`scot`'s under `delimiter`), prompts,
+    transcripts, targets. Chat-template markers are reserved ids, never words."""
     texts = ["system", "user", "assistant", "\n\n", SF_FORMAT_CLAUSE,
-             strategy_turns("scot", "b", "a")[0].text]
+             strategy_turns("scot", "b", "a", delimiter=delimiter)[0].text]
     for templates in bank.templates.values():
         texts.extend(templates)
     for r in records:
@@ -68,7 +69,8 @@ def build_micro_model(records: list[ManifestRecord], cfg: RunConfig) -> SluModel
     vocabulary that covers the records' training texts (`speechslu train`
     and the micro recipe alike)."""
     bank = PromptBank.load(cfg.prompts.bank_dir)
-    vocab = build_vocabulary(training_texts(records, bank), default_specials(cfg.prompts))
+    vocab = build_vocabulary(training_texts(records, bank, cfg.prompts.scot_delimiter),
+                             default_specials(cfg.prompts))
     return SluModel(cfg, vocab)
 
 
@@ -82,7 +84,7 @@ class MicroRunReport:
 
 
 def run_micro_overfit(epochs: int = MICRO_EPOCHS, seed: int = 7,
-                      infer_seed: int = 99, log_every: int = 0) -> tuple[SluModel, MicroRunReport]:
+                      log_every: int = 0) -> tuple[SluModel, MicroRunReport]:
     corpus = generate_micro_corpus(micro_corpus_spec(),
                                    np.random.default_rng(CORPUS_SEED))
     records = [r for rs in corpus.values() for r in rs]
@@ -91,9 +93,9 @@ def run_micro_overfit(epochs: int = MICRO_EPOCHS, seed: int = 7,
     report = MicroRunReport(
         final_per_token_loss=result.mean_recent_loss(300),
         train_result=result)
-    for strategy in ("alone", "scot", "mr"):
-        ic = infer_manifest(corpus["IC"], model, strategy, seed=infer_seed)
-        sf = infer_manifest(corpus["SF"], model, strategy, seed=infer_seed)
+    for strategy in STRATEGIES:
+        ic = infer_manifest(corpus["IC"], model, strategy, seed=INFER_SEED)
+        sf = infer_manifest(corpus["SF"], model, strategy, seed=INFER_SEED)
         report.results += [(strategy, r, res) for r, res in ic + sf]
         report.ic_hits[strategy] = sum(res.intent == r.annotation["intent"] for r, res in ic)
         report.sf_hits[strategy] = sum(

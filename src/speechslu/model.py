@@ -126,14 +126,13 @@ class SluModel:
         return ck_hash
 
 
-def load_model(run_dir, cfg: RunConfig | None = None) -> SluModel:
+def load_model(run_dir) -> SluModel:
     """Rebuild a model from a run directory (config.json, vocab.json, checkpoint).
 
     Raises ConfigError when the checkpoint was saved under a config whose
-    hash differs from the run's (or `cfg`'s)."""
+    hash differs from the run's."""
     run_dir = Path(run_dir)
-    if cfg is None:
-        cfg = load_config(run_dir / "config.json")
+    cfg = load_config(run_dir / "config.json")
     vocab = Vocabulary.load(run_dir / "vocab.json")
     model = SluModel(cfg, vocab)
     ck_hash = model.load_weights(run_dir / "checkpoint.sslc")

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import TASKS, ManifestRecord, read_jsonl
-from .prompts import (BANK_TASKS, STRATEGIES, build_task_prompt, sample_candidate_labels,
-                      strategy_turns)
+from .datasets import TASKS, ManifestRecord, check_entities, read_jsonl
+from .prompts import (BANK_TASKS, STRATEGIES, build_task_prompt, parse_scot_response,
+                      sample_candidate_labels, strategy_turns)
 
 
 @dataclass
@@ -120,15 +120,6 @@ def parse_slu_output(text: str, task: str, labels=None,
     elif field_name == "binary":
         out["binary"] = parse_binary(text, tuple(binary_labels or ("yes", "no")))
     return out
-
-
-def parse_scot_response(text: str, delimiter: str = "---") -> tuple[str | None, str]:
-    """Split a one-shot transcribe-then-answer response at the delimiter line."""
-    lines = text.split("\n")
-    for i, line in enumerate(lines):
-        if line.strip() == delimiter:
-            return "\n".join(lines[:i]).strip(), "\n".join(lines[i + 1:]).strip()
-    return None, text.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +261,15 @@ def predictions_to_jsonl(pairs: list[tuple[ManifestRecord, SluResult]],
     return "\n".join(lines) + "\n"
 
 
+def _prediction(d: dict) -> dict:
+    check_entities(d.get("entities"), f"prediction {d['id']}")
+    return d
+
+
 def read_predictions(path) -> tuple[list[dict], dict | None]:
-    """Predictions and `_meta` of a predictions file (errors as `read_jsonl`)."""
-    return read_jsonl(path, dict, "prediction")
+    """Predictions and `_meta` of a predictions file (errors as `read_jsonl`;
+    `entities` must be null or [slot type, value] string pairs)."""
+    return read_jsonl(path, _prediction, "prediction")
 
 
 def exact_entity_match(pred, gold) -> bool:

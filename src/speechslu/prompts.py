@@ -1,5 +1,5 @@
 """Prompt construction: chat-template rendering, per-task prompt banks,
-candidate-label sampling, SCoT concatenation, and multi-round history."""
+candidate-label sampling, the strategy dialogues and SCoT's answer layout."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from .errors import TurnOrderError
 from .tokenizer import Vocabulary
 
 SPEECH_SENTINEL = "[SPEECH]"
-
-DEFAULT_ASR_PROMPT = "Transcribe the spoken utterance into text."
 
 SF_FORMAT_CLAUSE = ("Respond with a JSON object mapping each detected slot "
                     "type to its value.")
@@ -190,44 +188,41 @@ def build_task_prompt(task: str, labels: list[str], bank: PromptBank,
     return prompt
 
 
-def build_scot(asr_prompt: str, slu_prompt: str, delimiter: str = "---") -> str:
-    """Single user prompt: transcribe first, then the SLU task, one response."""
-    if not asr_prompt or not slu_prompt:
-        raise ValueError("both prompts must be non-empty")
-    return (f"First: {asr_prompt}\nThen: {slu_prompt}\n"
-            f"Answer with the transcript, a line \"{delimiter}\", then the answer.")
+def strategy_turns(strategy: str, instruction: str, asr_prompt: str | None = None,
+                   transcript: str | None = None,
+                   delimiter: str | None = None) -> list[DialogueTurn]:
+    """The turns before the answer in a strategy's dialogue, for inference and
+    training alike. `scot` and `mr` need the ASR prompt, `scot` the delimiter
+    and `mr` round 1's transcript (round 1 is `asr_prompt` under `alone`)."""
+    if strategy == "alone":
+        return [DialogueTurn("user", instruction, speech=True)]
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if not asr_prompt:
+        raise ValueError(f"{strategy} needs a non-empty ASR prompt")
+    if strategy == "scot":  # one prompt: transcribe first, then the task, one response
+        if not instruction or delimiter is None:
+            raise ValueError("scot needs a non-empty task instruction and delimiter")
+        return [DialogueTurn("user", f"First: {asr_prompt}\nThen: {instruction}\nAnswer "
+                             f"with the transcript, a line \"{delimiter}\", then the answer.",
+                             speech=True)]
+    # the speech lives in round 1, so a [SPEECH] hole in the task instruction
+    # is re-bound to a plain reference instead of a second splice
+    return [DialogueTurn("user", asr_prompt, speech=True),
+            DialogueTurn("assistant", transcript),
+            DialogueTurn("user", instruction.replace(SPEECH_SENTINEL, "the spoken input"))]
 
 
-def build_mr_history(transcript: str, slu_prompt: str,
-                     asr_prompt: str = DEFAULT_ASR_PROMPT) -> list[DialogueTurn]:
-    """Dialogue history for round 2 of multi-round inference.
-
-    The speech embeddings live in the round-1 turn, so a [SPEECH] hole in
-    the task prompt is re-bound to a plain reference instead of a second
-    splice.
-    """
-    slu_prompt = slu_prompt.replace(SPEECH_SENTINEL, "the spoken input")
-    return [
-        DialogueTurn("user", asr_prompt, speech=True),
-        DialogueTurn("assistant", transcript),
-        DialogueTurn("user", slu_prompt),
-    ]
-
-
-def scot_target(transcript: str, answer: str, delimiter: str = "---") -> str:
+def scot_target(transcript: str, answer: str, delimiter: str) -> str:
+    """A `scot` answer: the transcript, a delimiter line, then the task answer."""
     return f"{transcript}\n{delimiter}\n{answer}"
 
 
-def strategy_turns(strategy: str, instruction: str, asr_prompt: str | None = None,
-                   transcript: str | None = None,
-                   delimiter: str = "---") -> list[DialogueTurn]:
-    """The turns before the answer in a strategy's dialogue, for inference
-    and training alike (`mr`'s round 1 is `asr_prompt` under `alone`)."""
-    if strategy == "alone":
-        return [DialogueTurn("user", instruction, speech=True)]
-    if strategy == "scot":
-        return [DialogueTurn("user", build_scot(asr_prompt, instruction, delimiter),
-                             speech=True)]
-    if strategy == "mr":
-        return build_mr_history(transcript, instruction, asr_prompt)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def parse_scot_response(text: str, delimiter: str) -> tuple[str | None, str]:
+    """Split a `scot` response (`scot_target`'s layout) at its first
+    delimiter line; with none, the transcript is None and all of it the answer."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if line.strip() == delimiter:
+            return "\n".join(lines[:i]).strip(), "\n".join(lines[i + 1:]).strip()
+    return None, text.strip()

@@ -21,15 +21,13 @@ from .orchestrator import collect_inventories, task_instruction
 from .prompts import (STRATEGIES, DialogueTurn, build_task_prompt, render_chat,
                       scot_target, strategy_turns)
 
-PLAIN = "plain"
-
 
 def assign_config(record: ManifestRecord, rng: np.random.Generator,
                   probs=(1 / 3, 1 / 3, 1 / 3)) -> str:
     """SLU tasks draw one of the three strategy configs; a plain task
-    (`datasets.TASKS`) always trains in plain single-task form."""
+    (`datasets.TASKS`) always trains `alone`, with no draw."""
     if TASKS[record.task].plain:
-        return PLAIN
+        return "alone"
     idx = int(rng.choice(len(STRATEGIES), p=np.asarray(probs) / np.sum(probs)))
     return STRATEGIES[idx]
 
@@ -62,16 +60,15 @@ class TrainingExample:
 def build_training_sequence(record: ManifestRecord, config: str, model: SluModel,
                             inventories: dict, rng: np.random.Generator,
                             speech_len: int) -> TrainingExample:
-    """Render a record's dialogue under a strategy config (PLAIN renders as
-    `alone`), with its assistant target, and mask the supervised spans."""
+    """Render a record's dialogue under a strategy config, with its
+    assistant target, and mask the supervised spans."""
     vocab, pcfg = model.vocab, model.prompt_cfg
     asr_prompt = build_task_prompt("ASR", [], model.bank, rng)
     instruction = task_instruction(record, inventories, model, rng)
-    strategy = "alone" if config == PLAIN else config
     answer = gold_answer(record)
-    if strategy == "scot":
+    if config == "scot":
         answer = scot_target(record.transcript, answer, pcfg.scot_delimiter)
-    turns = strategy_turns(strategy, instruction, asr_prompt, record.transcript,
+    turns = strategy_turns(config, instruction, asr_prompt, record.transcript,
                            pcfg.scot_delimiter)
     rendered = render_chat(turns + [DialogueTurn("assistant", answer)], vocab, pcfg)
     mask = np.zeros(len(rendered.ids), dtype=bool)
@@ -113,16 +110,14 @@ class TrainResult:
         return sum(r.loss * r.tokens for r in rows) / tokens
 
 
-def _epoch_stream(records: list[ManifestRecord], weights: dict[str, float],
-                  rng: np.random.Generator) -> list[ManifestRecord]:
-    """Shuffled stream with each record appearing exactly once (times any
-    whole-number task repetition weight)."""
-    stream: list[ManifestRecord] = []
-    for r in records:
-        reps = int(round(weights.get(r.task, 1.0)))
-        stream.extend([r] * max(1, reps))
-    order = rng.permutation(len(stream))
-    return [stream[i] for i in order]
+def _repeated(records: list[ManifestRecord], weights: dict[str, float]) -> list[ManifestRecord]:
+    """Each record once per whole-number repetition weight of its task, at least once."""
+    return [r for r in records for _ in range(max(1, int(round(weights.get(r.task, 1.0)))))]
+
+
+def _epoch_stream(pool: list[ManifestRecord], rng: np.random.Generator) -> list[ManifestRecord]:
+    """One epoch: `pool` in a fresh shuffled order."""
+    return [pool[i] for i in rng.permutation(len(pool))]
 
 
 def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = None,
@@ -144,11 +139,10 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
 
     result = TrainResult()
     step = 0
-    steps_per_epoch = -(-sum(max(1, int(round(tcfg.task_weights.get(r.task, 1.0))))
-                             for r in records) // tcfg.batch_size)
-    total_steps = max(1, epochs * steps_per_epoch)
+    pool = _repeated(records, tcfg.task_weights)
+    total_steps = max(1, epochs * -(-len(pool) // tcfg.batch_size))
     for _ in range(epochs):
-        stream = _epoch_stream(records, tcfg.task_weights, shuffle_rng)
+        stream = _epoch_stream(pool, shuffle_rng)
         for batch_start in range(0, len(stream), tcfg.batch_size):
             t_step = time.perf_counter()
             batch = stream[batch_start:batch_start + tcfg.batch_size]

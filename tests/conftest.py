@@ -9,10 +9,8 @@ from speechslu import fileio
 from speechslu.config import (AlignerConfig, DecoderConfig, EncoderConfig,
                               LoraConfig, RunConfig, TrainConfig)
 from speechslu.datasets import MicroCorpusSpec, generate_micro_corpus
-from speechslu.experiments import training_texts as corpus_texts
+from speechslu.experiments import build_micro_model
 from speechslu.model import SluModel
-from speechslu.prompts import PromptBank
-from speechslu.tokenizer import build_vocabulary, default_specials
 
 
 def param_hash(tensors) -> str:
@@ -35,10 +33,7 @@ def tiny_run_config(seed=0, **train_kw) -> RunConfig:
 
 
 def build_tiny_model(records, seed=0, **train_kw) -> SluModel:
-    cfg = tiny_run_config(seed=seed, **train_kw)
-    bank = PromptBank.load()
-    vocab = build_vocabulary(corpus_texts(records, bank), default_specials(cfg.prompts))
-    return SluModel(cfg, vocab)
+    return build_micro_model(records, tiny_run_config(seed=seed, **train_kw))
 
 
 @pytest.fixture(scope="session")

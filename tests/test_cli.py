@@ -590,3 +590,78 @@ def test_infer_rejects_a_checkpoint_of_another_config(trained_run, tmp_path, cap
     err = capsys.readouterr().err
     assert str(edited) in err and saved_hash in err and config_hash(cfg) in err
     assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("entities", ["room", [["room"]], [["room", 3]], [[1, "x"]]],
+                         ids=["string", "one-element-pair", "number-value", "number-type"])
+def test_train_rejects_entities_that_are_not_string_pairs(tmp_path, capsys, entities):
+    path = tmp_path / "sf.jsonl"
+    good = {"id": "sf-0", "audio": "synthetic:the room is kitchen",
+            "transcript": "the room is kitchen", "task": "SF",
+            "annotation": {"entities": [["room", "kitchen"]]}}
+    bad = {**good, "id": "sf-1", "annotation": {"entities": entities}}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    cfg_path = tmp_path / "run.json"
+    save_config(micro_run_config(seed=5), cfg_path)
+    assert main(["train", "--config", str(cfg_path), "--manifest", str(path),
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}:2: " in err and "[slot type, value] string pairs" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("entities", ["room", [["room"]], [["room", None]]],
+                         ids=["string", "one-element-pair", "null-value"])
+def test_evaluate_rejects_predicted_entities_that_are_not_string_pairs(tmp_path, capsys,
+                                                                       entities):
+    gold_path = tmp_path / "gold.jsonl"
+    write_manifest(gold_path, [_gold("a", "SF", entities=[["room", "on"]]),
+                               _gold("b", "SF", entities=[])])
+    preds_path = tmp_path / "p.jsonl"
+    preds_path.write_text("\n".join(json.dumps({"id": rid, "task": "SF", "entities": ents})
+                                    for rid, ents in (("b", None), ("a", entities))) + "\n",
+                          encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--task", "sf", "--pred", str(preds_path),
+                 "--gold", str(gold_path), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {preds_path}:2: " in err and "[slot type, value] string pairs" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"train": {"lr": "fast"}}, "train.lr: expected float"),
+    ({"encoder": 5}, "encoder: section must be an object"),
+    ({"encoder": {"conv_strides": [1]}}, "encoder.conv_strides: expected tuple[int, int]"),
+    ({"train": {"task_weights": {"SF": "twice"}}}, "train.task_weights: expected"),
+    ({"seed": True}, "seed: expected int"),
+], ids=["lr-string", "section-number", "short-tuple", "weight-string", "seed-bool"])
+def test_train_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, config, key):
+    path = tmp_path / "ic.jsonl"
+    write_manifest(path, _ic_records(2))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path), "--manifest", str(path),
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {cfg_path}: {key}" in captured.err
+    assert "training on" not in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_loads_numbers_and_lists_as_before(tmp_path):
+    # ints stay ints in float fields and lists become tuples, so the hash of
+    # a config file is what it was
+    from speechslu.config import config_hash
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"train": {"lr": 1, "task_weights": {"SF": 2},
+                                          "betas": [0.9, 0.95]},
+                                "lora": {"targets": ["q", "v"]}, "prompts": {"bank_dir": None},
+                                "manifests": ["a.jsonl"]}), encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.train.lr == 1 and isinstance(cfg.train.lr, int)
+    assert cfg.train.betas == (0.9, 0.95) and cfg.lora.targets == ("q", "v")
+    assert cfg.manifests == ["a.jsonl"]
+    save_config(cfg, path)
+    assert config_hash(load_config(path)) == config_hash(cfg)

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechslu.orchestrator import (infer, infer_manifest, parse_binary,
-                                    parse_entities, parse_intent,
-                                    parse_scot_response, parse_slu_output,
+                                    parse_entities, parse_intent, parse_slu_output,
                                     predictions_to_jsonl, read_predictions,
                                     task_labels)
+from speechslu.prompts import parse_scot_response
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -75,20 +75,20 @@ def test_parse_binary_first_occurrence():
 
 
 def test_parse_scot_response():
-    transcript, answer = parse_scot_response("hello world\n---\nlights_on")
+    transcript, answer = parse_scot_response("hello world\n---\nlights_on", "---")
     assert transcript == "hello world"
     assert answer == "lights_on"
 
 
 def test_parse_scot_missing_delimiter():
-    transcript, answer = parse_scot_response("just an answer")
+    transcript, answer = parse_scot_response("just an answer", "---")
     assert transcript is None
     assert answer == "just an answer"
 
 
 def test_parse_scot_example_with_intent_object():
     text = 'hello\n---\n{"intent": "greet"}'
-    transcript, answer = parse_scot_response(text)
+    transcript, answer = parse_scot_response(text, "---")
     assert transcript == "hello"
     assert parse_intent(answer, ["greet", "other"]) == "greet"
 
@@ -135,12 +135,12 @@ def test_mr_round2_prompt_contains_round1_transcript(tiny_model, micro_corpus):
 
 
 def test_mr_conditioning_is_live_at_string_level(tiny_model):
-    from speechslu.prompts import build_mr_history, render_chat
+    from speechslu.prompts import render_chat, strategy_turns
 
-    a = render_chat(build_mr_history("hello world", "classify"), tiny_model.vocab,
-                    tiny_model.prompt_cfg).text(tiny_model.vocab)
-    b = render_chat(build_mr_history("hello brave world", "classify"), tiny_model.vocab,
-                    tiny_model.prompt_cfg).text(tiny_model.vocab)
+    a = render_chat(strategy_turns("mr", "classify", "transcribe", "hello world"),
+                    tiny_model.vocab, tiny_model.prompt_cfg).text(tiny_model.vocab)
+    b = render_chat(strategy_turns("mr", "classify", "transcribe", "hello brave world"),
+                    tiny_model.vocab, tiny_model.prompt_cfg).text(tiny_model.vocab)
     assert a != b
 
 

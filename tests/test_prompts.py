@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from speechslu.config import PromptConfig
 from speechslu.errors import TurnOrderError
-from speechslu.prompts import (BANK_SIZE, DEFAULT_ASR_PROMPT, DialogueTurn,
-                               PromptBank, build_mr_history, build_scot,
+from speechslu.prompts import (BANK_SIZE, DialogueTurn, PromptBank,
                                build_task_prompt, render_chat,
-                               sample_candidate_labels, scot_target)
+                               sample_candidate_labels, scot_target, strategy_turns)
 from speechslu.tokenizer import build_vocabulary
 
 CFG = PromptConfig()
@@ -218,18 +217,28 @@ def test_sf_prompt_single_slot_and_format_clause(bank):
 # SCoT and multi-round construction
 # ---------------------------------------------------------------------------
 
+def scot_prompt(asr_prompt, instruction, delimiter=CFG.scot_delimiter):
+    (turn,) = strategy_turns("scot", instruction, asr_prompt, delimiter=delimiter)
+    assert turn.role == "user" and turn.speech
+    return turn.text
+
+
+def mr_history(transcript, instruction, asr_prompt="Transcribe it."):
+    return strategy_turns("mr", instruction, asr_prompt, transcript)
+
+
 def test_scot_orders_asr_before_slu():
-    out = build_scot("TRANSCRIBE-ME", "CLASSIFY-ME")
+    out = scot_prompt("TRANSCRIBE-ME", "CLASSIFY-ME")
     assert out.index("TRANSCRIBE-ME") < out.index("CLASSIFY-ME")
 
 
 def test_scot_has_exactly_one_delimiter_specification():
-    out = build_scot("asr", "slu", delimiter="---")
+    out = scot_prompt("asr", "slu", delimiter="---")
     assert out.count("---") == 1
 
 
 def test_scot_renders_to_single_turn_single_splice(vocab):
-    user = build_scot("transcribe", "classify")
+    user = scot_prompt("transcribe", "classify")
     r = render_chat([DialogueTurn("user", user, speech=True)], vocab, CFG)
     placeholder = vocab.special_id("speech_placeholder")
     assert sum(1 for i in r.ids if i == placeholder) == 1
@@ -238,37 +247,46 @@ def test_scot_renders_to_single_turn_single_splice(vocab):
 
 def test_scot_rejects_empty_prompts():
     with pytest.raises(ValueError):
-        build_scot("", "slu")
+        scot_prompt("", "slu")
+    with pytest.raises(ValueError):
+        scot_prompt("asr", "")
+
+
+def test_mr_needs_an_asr_prompt():
+    for asr_prompt in (None, ""):
+        with pytest.raises(ValueError, match="mr needs a non-empty ASR prompt"):
+            strategy_turns("mr", "classify it", asr_prompt, "hello")
 
 
 def test_scot_target_layout():
-    assert scot_target("hello", "greet") == "hello\n---\ngreet"
+    assert scot_target("hello", "greet", "---") == "hello\n---\ngreet"
+    assert scot_target("hello", "greet", "###") == "hello\n###\ngreet"
 
 
 def test_mr_history_structure():
-    turns = build_mr_history("hello world", "what is the intent?")
+    turns = mr_history("hello world", "what is the intent?", "Transcribe it.")
     assert [t.role for t in turns] == ["user", "assistant", "user"]
     assert turns[0].speech and not turns[1].speech and not turns[2].speech
-    assert turns[0].text == DEFAULT_ASR_PROMPT
+    assert turns[0].text == "Transcribe it."
     assert turns[1].text == "hello world"
     assert turns[2].text == "what is the intent?"
 
 
 def test_mr_history_allows_empty_transcript():
-    turns = build_mr_history("", "classify it")
+    turns = mr_history("", "classify it")
     assert turns[1].text == ""
 
 
 def test_mr_history_rebinds_speech_hole_in_task_prompt():
     # the audio is already spliced in round 1; a [SPEECH] hole in the task
     # prompt must not declare a second splice
-    turns = build_mr_history("hello", "Classify the sentiment of [SPEECH].")
+    turns = mr_history("hello", "Classify the sentiment of [SPEECH].")
     assert "[SPEECH]" not in turns[2].text
     assert "the spoken input" in turns[2].text
 
 
 def test_mr_render_prefix_property(vocab):
-    history = build_mr_history("hello world", "hi there")
+    history = mr_history("hello world", "hi there")
     pre = render_chat(history, vocab, CFG, add_generation_prompt=True)
     ext = render_chat(history + [DialogueTurn("assistant", "hello")], vocab, CFG)
     assert ext.ids[:len(pre.ids)] == pre.ids

@@ -12,8 +12,8 @@ from speechslu.errors import TrainingDiverged
 from speechslu.decoder import expand_splice
 from speechslu.orchestrator import collect_inventories, infer
 from speechslu.prompts import STRATEGIES
-from speechslu.training import (PLAIN, assign_config, build_training_sequence,
-                                gold_answer, train, _epoch_stream)
+from speechslu.training import (assign_config, build_training_sequence, gold_answer,
+                                train, _epoch_stream, _repeated)
 
 from conftest import build_tiny_model, param_hash
 
@@ -34,7 +34,9 @@ def test_asr_and_sqit_always_plain(micro_corpus):
     rng = np.random.default_rng(0)
     for record in micro_corpus["ASR"] + micro_corpus["SQIT"]:
         for _ in range(20):
-            assert assign_config(record, rng) == PLAIN
+            assert assign_config(record, rng) == "alone"
+    # with no draw: the generator's state is untouched
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_slu_tasks_draw_three_configs_uniformly(micro_corpus):
@@ -123,7 +125,7 @@ def test_mr_training_masks_both_rounds(tiny_model, micro_corpus):
 
 def test_sit_keeps_instruction_as_text_prompt(tiny_model, micro_corpus):
     record = micro_corpus["SIT"][0]
-    example, _ = _sequence_for(tiny_model, record, PLAIN)
+    example, _ = _sequence_for(tiny_model, record, "alone")
     seq = example.sequence
     text = tiny_model.vocab.detokenize(seq.ids)
     assert record.annotation["instruction"] in text
@@ -134,7 +136,7 @@ def test_sit_keeps_instruction_as_text_prompt(tiny_model, micro_corpus):
 
 def test_sqit_has_no_text_prompt(tiny_model, micro_corpus):
     record = micro_corpus["SQIT"][0]
-    example, _ = _sequence_for(tiny_model, record, PLAIN)
+    example, _ = _sequence_for(tiny_model, record, "alone")
     text = tiny_model.vocab.detokenize(example.sequence.ids)
     header = tiny_model.prompt_cfg.header_close
     user_content = text.split(header)[1]
@@ -165,7 +167,7 @@ def test_a_record_with_only_its_required_keys_trains_and_infers(tiny_model, task
     record = ManifestRecord(id=f"min-{task}", audio="synthetic:turn on the light",
                             transcript="turn on the light", task=task,
                             annotation={k: _ANNOTATION_VALUES[k] for k in kind.required})
-    for config in (PLAIN,) if kind.plain else STRATEGIES:
+    for config in ("alone",) if kind.plain else STRATEGIES:
         example, _ = _sequence_for(tiny_model, record, config)
         assert example.n_supervised > 0, config
     for strategy in STRATEGIES:
@@ -204,7 +206,7 @@ def test_expand_splice_expands_the_mask_with_the_ids(tiny_model, micro_corpus, m
     placeholder = tiny_model.vocab.special_id("speech_placeholder")
     checked = 0
     for task, records in micro_corpus.items():
-        configs = (PLAIN,) if TASKS[task].plain else STRATEGIES
+        configs = ("alone",) if TASKS[task].plain else STRATEGIES
         for record, config, seed in itertools.product(records, configs, range(4)):
             rendered.clear()
             example, _ = _sequence_for(tiny_model, record, config, seed=seed)
@@ -241,9 +243,9 @@ def test_training_prompt_is_the_inference_prompt(tiny_model, micro_corpus, flat_
     prompts = []
     generate = tiny_model.decoder.generate_greedy
 
-    def recording(seq, speech, max_new, stop_id=None):
+    def recording(seq, speech, max_new):
         prompts.append(list(seq.ids))
-        return generate(seq, speech, max_new, stop_id)
+        return generate(seq, speech, max_new)
 
     monkeypatch.setattr(tiny_model.decoder, "generate_greedy", recording)
     for record in micro_corpus["IC"] + micro_corpus["SF"]:
@@ -325,12 +327,12 @@ def test_masked_positions_contribute_zero_gradient(tiny_model, micro_corpus):
 # ---------------------------------------------------------------------------
 
 def test_epoch_stream_consumes_each_record_exactly_once(flat_records):
-    stream = _epoch_stream(flat_records, {}, np.random.default_rng(0))
+    stream = _epoch_stream(_repeated(flat_records, {}), np.random.default_rng(0))
     assert sorted(r.id for r in stream) == sorted(r.id for r in flat_records)
 
 
 def test_epoch_stream_task_weights_repeat_records(flat_records):
-    stream = _epoch_stream(flat_records, {"IC": 2.0}, np.random.default_rng(0))
+    stream = _epoch_stream(_repeated(flat_records, {"IC": 2.0}), np.random.default_rng(0))
     n_ic = sum(1 for r in flat_records if r.task == "IC")
     assert sum(1 for r in stream if r.task == "IC") == 2 * n_ic
 
@@ -341,7 +343,7 @@ def test_mixture_frequencies_match_sizes_chi_squared():
     spec = MicroCorpusSpec(counts={"ASR": 300, "IC": 200, "SF": 100})
     corpus = generate_micro_corpus(spec, np.random.default_rng(9))
     records = [r for rs in corpus.values() for r in rs]
-    stream = _epoch_stream(records, {}, np.random.default_rng(10))
+    stream = _epoch_stream(_repeated(records, {}), np.random.default_rng(10))
     # windowed draw frequencies over the shuffled stream follow the size mix
     window = stream[:300]
     observed = [sum(1 for r in window if r.task == t) for t in ("ASR", "IC", "SF")]
@@ -445,3 +447,17 @@ def test_single_example_memorization_and_reproduction(micro_corpus):
     res = infer(record, "alone", model, np.random.default_rng(0))
     assert res.raw_text.strip() == record.annotation["intent"]  # exact string
     assert res.intent == record.annotation["intent"]
+
+
+def test_vocabulary_learns_the_configured_scot_delimiter(micro_corpus):
+    from speechslu.config import PromptConfig
+    from speechslu.experiments import build_micro_model
+    from conftest import tiny_run_config
+
+    cfg = tiny_run_config()
+    cfg.prompts = PromptConfig(scot_delimiter="###")
+    model = build_micro_model(micro_corpus["IC"], cfg)
+    assert '"###",' in model.vocab.words and '"---",' not in model.vocab.words
+    example, _ = _sequence_for(model, micro_corpus["IC"][0], "scot")
+    text = model.vocab.detokenize(example.sequence.ids)
+    assert 'a line "###", then' in text and "\n###\n" in text
