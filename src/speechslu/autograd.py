@@ -19,9 +19,13 @@ float64 when handed float64 arrays (used by the finite-difference
 checks in the test suite).
 
 The `*_kernel` functions are the plain-array forms of layer norm, GELU,
-attention and the feed-forward block. The graph ops compute their
-forwards with them, and the frozen encoder and the KV-cached decoder
-call them directly, so each formula is written once.
+attention, the feed-forward block, conv1d and the embedding gather. The
+graph ops compute their forwards with them, and the frozen encoder, the
+aligner's inference forward and the KV-cached decoder call them
+directly, so each formula is written once. `layer_norm_row` is the one
+exception: a decode step's single-row layer norm in fewer array calls,
+equal to `layer_norm_kernel` within float32 rounding, which no graph op
+uses.
 
 `gelu_kernel` keeps the plain formula's bits (`x**3`, not `x*x*x`), but
 for float32 arrays of at least `_GUARDED_CUBE_MIN` elements it avoids
@@ -149,6 +153,17 @@ def layer_norm_kernel(x: np.ndarray, g: np.ndarray, b: np.ndarray,
     return out
 
 
+def layer_norm_row(x: np.ndarray, g: np.ndarray, b: np.ndarray,
+                   eps: float = 1e-5) -> np.ndarray:
+    """`layer_norm_kernel` of one row x [d] in fewer array calls, equal to it
+    within float32 rounding (the variance is a dot product; decoding only)."""
+    n = x.shape[0]
+    xc = x - x.sum() / n
+    xc *= g * (1.0 / math.sqrt(float(xc @ xc) / n + eps))
+    xc += b
+    return xc
+
+
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 # Smallest float32 array whose cube goes through `_guarded_tanh_term`:
@@ -212,12 +227,28 @@ def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, t
 
 
+def gelu_row(x: np.ndarray) -> np.ndarray:
+    """`gelu_kernel`'s output for a decode step's row, in fewer array calls
+    and with x*x*x for the cube: equal to it within float32 rounding."""
+    t = x * x
+    t *= x
+    t *= _GELU_K
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
+
+
 def feed_forward_kernel(h: np.ndarray, w1: np.ndarray, b1: np.ndarray,
                         w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """gelu(h @ w1 + b1) @ w2 + b2."""
+    """gelu(h @ w1 + b1) @ w2 + b2; a single row h [d] (a decode step)
+    takes `gelu_row`."""
     u = h @ w1
     u += b1
-    out = gelu_kernel(u)[0] @ w2
+    out = (gelu_row(u) if u.ndim == 1 else gelu_kernel(u)[0]) @ w2
     out += b2
     return out
 
@@ -482,6 +513,21 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scale: float) -> Ten
     return _make_node("lora_linear", out, (x, w, x, a, b), vjp)
 
 
+def conv1d_kernel(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int,
+                  padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-D convolution over time of x [C_in, T] by w [C_out, C_in, K] (plus
+    b [C_out]), and the zero-padded input its gradient reuses."""
+    k = w.shape[2]
+    t_out = (x.shape[1] + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding))) if padding else x
+    out = np.zeros((w.shape[0], t_out), dtype=x.dtype)
+    for kk in range(k):
+        out += w[:, :, kk] @ xp[:, kk:kk + stride * (t_out - 1) + 1:stride]
+    if b is not None:
+        out += b[:, None]
+    return out, xp
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1,
            padding: int = 0) -> Tensor:
     """1-D convolution over time: x [C_in, T], w [C_out, C_in, K] -> [C_out, T_out].
@@ -500,21 +546,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1,
         raise ShapeMismatch("conv1d", f"T={t_in}, kernel={k}, stride={stride}, pad={padding}")
     _check_finite("conv1d", x.data)
     _check_finite("conv1d", w.data)
-
-    xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
-    out = np.zeros((c_out, t_out), dtype=x.data.dtype)
-    for kk in range(k):
-        seg = xp[:, kk:kk + stride * (t_out - 1) + 1:stride]
-        out += w.data[:, :, kk] @ seg
-
     inputs: list[Tensor] = [x, w]
     if b is not None:
         b = _as_tensor(b)
         if b.data.shape != (c_out,):
             raise ShapeMismatch("conv1d", f"bias {b.data.shape} vs C_out {c_out}")
         _check_finite("conv1d", b.data)
-        out = out + b.data[:, None]
         inputs.append(b)
+    out, xp = conv1d_kernel(x.data, w.data, None if b is None else b.data, stride, padding)
 
     def vjp(g):
         taps = [slice(kk, kk + stride * (t_out - 1) + 1, stride) for kk in range(k)]
@@ -536,14 +575,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1,
     return _make_node("conv1d", out, tuple(inputs), vjp)
 
 
+def embedding_kernel(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of `table` gathered by integer ids; an id outside the table raises."""
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ShapeMismatch("embedding_lookup", f"ids outside [0, {table.shape[0]})")
+    return table.take(ids, axis=0)
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of `table` by integer ids."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.min(initial=0) < 0 or ids.max(initial=-1) >= table.data.shape[0]:
-        raise ShapeMismatch(
-            "embedding_lookup", f"ids outside [0, {table.data.shape[0]})")
-    out = table.data[ids]
+    out = embedding_kernel(table.data, ids)
     vocab_shape = table.data.shape
 
     def vjp(g):
@@ -554,9 +597,22 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make_node("embedding_lookup", out, (table,), vjp)
 
 
-def causal_mask(t: int, dtype=np.float32) -> np.ndarray:
-    """Additive mask: 0 on/below the diagonal, -inf strictly above."""
-    return np.triu(np.full((t, t), -np.inf, dtype=dtype), k=1)
+def splice(x: np.ndarray, rows: Tensor, start: int) -> Tensor:
+    """`x` as a node whose rows start..start+len(rows) hold `rows` plus a
+    constant (a sequence embedding's speech rows plus their positions): the
+    gradient of those rows passes to `rows`, the rest of `x` is a constant."""
+    stop = start + rows.data.shape[0]
+
+    def vjp(g):
+        return (g[start:stop],)
+
+    return _make_node("splice", x, (rows,), vjp)
+
+
+def causal_mask(t: int, dtype=np.float32, start: int = 0) -> np.ndarray:
+    """Additive mask of queries start..t over keys 0..t: 0 where the key
+    position is at most the query's, -inf after it."""
+    return np.triu(np.full((t - start, t), -np.inf, dtype=dtype), k=start + 1)
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,

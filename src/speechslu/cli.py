@@ -246,7 +246,7 @@ def cmd_selftest(args) -> int:
     from . import autograd as ag
     from .aligner import ModalityAligner
     from .config import AlignerConfig, DecoderConfig, EncoderConfig, LoraConfig
-    from .decoder import InstructionDecoder, MultimodalSequence
+    from .decoder import InstructionDecoder, MultimodalSequence, expand_splice
     from .encoder import SpeechEncoder
     from .audio import MelSpectrogram
     from .tokenizer import Vocabulary, default_specials
@@ -357,12 +357,52 @@ def cmd_selftest(args) -> int:
         if got.tobytes() != t.tobytes() or out.tobytes() != (0.5 * x * (1.0 + t)).tobytes():
             raise AssertionError("gelu_kernel differs from the plain x**3 formula")
 
+    def kv_decode():
+        # the cached single-row steps, and a second round that reuses the
+        # first's key/value rows, against the graph forward of the same ids
+        rng = np.random.default_rng(6)
+        vocab = Vocabulary(default_specials(), ["hello", " hello", " world"])
+        dec = InstructionDecoder(DecoderConfig(d_model=16, n_layers=2, n_heads=4,
+                                               d_ff=32), vocab, rng)
+        dec.inject_lora(LoraConfig(rank=2, alpha=4.0), rng)
+        for layer in dec.layers:
+            for wrapper in layer.lora.values():
+                wrapper.B.data = rng.normal(size=wrapper.B.data.shape,
+                                            scale=0.1).astype(np.float32)
+        placeholder = vocab.special_id("speech_placeholder")
+        speech = rng.normal(size=(3, 16)).astype(np.float32)
+        step_logits = []
+        head = dec._head
+
+        def recording_head(x):
+            step_logits.append(head(x))
+            return step_logits[-1]
+
+        dec._head = recording_head
+        seq = expand_splice([0, placeholder, 262, 263], 1, len(speech), placeholder)
+        first = dec.generate_greedy(seq, speech, 4)
+        seq2 = MultimodalSequence(np.append(first.kv.ids, [264, 263]), 1, len(speech))
+        if first.kv.shared_rows(seq2, speech) != len(first.kv.ids):
+            raise AssertionError("round 2 does not reuse round 1's rows")
+        second = dec.generate_greedy(seq2, speech, 4, first.kv)
+        ran = 0
+        for s, out in ((seq, first), (seq2, second)):
+            ids = np.append(s.ids, out.ids)
+            graph = dec.forward(MultimodalSequence(ids, 1, len(speech)),
+                                ag.Tensor(speech)).data[len(s.ids) - 1:]
+            cached = step_logits[ran:ran + len(out.ids)]
+            ran += len(out.ids)
+            if not np.allclose(cached, graph[:len(cached)], rtol=1e-5, atol=1e-5):
+                err = np.abs(np.asarray(cached) - graph[:len(cached)]).max()
+                raise AssertionError(f"cached logits differ from the graph's by {err:.2e}")
+
     check("gradient-check", gradient_check)
     check("lora-linear-vjp", lora_linear_vjp)
     check("causal-attention-vjp", causal_attention_vjp)
     check("lora-identity", lora_identity)
     check("shape-law-3000-1500-375", shape_law)
     check("gelu-cube", gelu_cube)
+    check("kv-decode", kv_decode)
     if failures:
         print(f"selftest: {len(failures)} failure(s)")
         return 1
@@ -411,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the JSON report here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("selftest", help="gradient, LoRA-identity, shape-law and GELU-cube checks")
+    p = sub.add_parser("selftest", help="gradient, LoRA-identity, shape-law, GELU-cube "
+                                        "and KV-decode checks")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -15,6 +15,19 @@ from .errors import ConfigError
 from .fileio import write_atomic
 
 
+def _check_positive(section: str, cfg, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{section}.{name}: must be >= 1, got {getattr(cfg, name)}")
+
+
+def _check_heads(section: str, width_key: str, width: int, n_heads: int) -> None:
+    """Attention splits the width into equal head slices."""
+    if n_heads < 1 or width % n_heads:
+        raise ConfigError(f"{section}.n_heads: must be >= 1 and divide "
+                          f"{section}.{width_key} ({width}), got {n_heads}")
+
+
 @dataclass
 class EncoderConfig:
     n_mels: int = 80
@@ -26,6 +39,7 @@ class EncoderConfig:
     clip_seconds: float = 30.0
 
     def __post_init__(self):
+        _check_heads("encoder", "d_enc", self.d_enc, self.n_heads)
         s1, s2 = self.conv_strides
         if s1 * s2 != 2:
             raise ConfigError(f"encoder.conv_strides: product must be 2, got {s1}*{s2}")
@@ -62,6 +76,10 @@ class DecoderConfig:
     # margin or confident predictions are unrepresentable)
     head_std: float = 1.0
 
+    def __post_init__(self):
+        _check_heads("decoder", "d_model", self.d_model, self.n_heads)
+        _check_positive("decoder", self, "max_positions")
+
 
 @dataclass
 class LoraConfig:
@@ -96,6 +114,9 @@ class InferConfig:
     max_new_short: int = 64    # ASR / IC / binary answers
     max_new_long: int = 128    # SF / SCoT responses
 
+    def __post_init__(self):
+        _check_positive("infer", self, "max_new_short", "max_new_long")
+
 
 @dataclass
 class TrainConfig:
@@ -111,6 +132,7 @@ class TrainConfig:
     task_weights: dict[str, float] = field(default_factory=dict)  # repetition multipliers
 
     def __post_init__(self):
+        _check_positive("train", self, "batch_size")
         if abs(sum(self.strategy_probs) - 1.0) > 1e-9:
             raise ConfigError("train.strategy_probs: must sum to 1")
         if self.lr_schedule not in ("constant", "linear"):

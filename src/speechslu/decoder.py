@@ -3,8 +3,16 @@
 Causal transformer over a token sequence whose speech-placeholder span
 is replaced by aligned speech embeddings. Base weights are frozen;
 LoRA adapters on the attention projections are the only trainable
-decoder state. Generation is greedy with a per-call KV cache whose
-buffers are allocated once, at the longest length the call can reach.
+decoder state.
+
+Generation is greedy and runs on plain arrays. A call allocates its
+key/value buffers once, at the longest length it can reach, prefills
+the prompt through the blocks' array forward, and then runs each
+generated token through one single-row `TransformerBlock.step` per
+layer. It returns a `KVState`; a later call of the same request (MR's
+round 2) can take it as `prior` and prefill only the positions after
+the id prefix the two prompts share. The decoder itself keeps no state
+between calls.
 """
 
 from __future__ import annotations
@@ -81,10 +89,35 @@ class LoraLinear:
 
 
 @dataclass
+class KVState:
+    """What one generation hands the next of the same request: the ids whose
+    keys and values fill the first rows of every layer's (k, v) buffers, the
+    speech rows those ids were embedded with, and the layers' weights."""
+
+    ids: np.ndarray                        # int64 [filled rows]
+    speech: np.ndarray | None
+    splice_start: int | None
+    weights: list[dict[str, np.ndarray]]
+    caches: list[tuple[np.ndarray, np.ndarray]]
+
+    def shared_rows(self, seq: MultimodalSequence, speech: np.ndarray | None) -> int:
+        """How many leading rows `seq` can take from this state: its longest
+        common id prefix, short of seq's last position, and none unless the
+        speech is the same rows at the same place."""
+        if seq.splice_start != self.splice_start or (
+                speech is not self.speech and not np.array_equal(speech, self.speech)):
+            return 0
+        n = min(len(self.ids), len(seq.ids) - 1)
+        differ = np.flatnonzero(self.ids[:n] != seq.ids[:n])
+        return int(differ[0]) if differ.size else n
+
+
+@dataclass
 class GenerationResult:
     ids: list[int]
     text: str
     truncated: bool
+    kv: KVState
 
 
 class InstructionDecoder:
@@ -139,27 +172,30 @@ class InstructionDecoder:
 
     # -- embedding, shared by both paths ------------------------------------
 
-    def embed(self, seq: MultimodalSequence, speech: ag.Tensor | None) -> ag.Tensor:
-        """Token embeddings with the speech embeddings in the placeholder
-        span, plus positions: [T, d]."""
+    def embed_rows(self, seq: MultimodalSequence, speech: np.ndarray | None) -> np.ndarray:
+        """Token embeddings with the speech rows in the placeholder span, plus
+        positions: [T, d]. Every sequence either path runs is checked here."""
         t = len(seq.ids)
         if t == 0:
             raise ShapeMismatch("decoder", "empty sequence")
         if t > self.cfg.max_positions:
             raise ShapeMismatch("decoder", f"prompt length {t} > max {self.cfg.max_positions}")
         want = None if seq.splice_start is None else seq.splice_len
-        got = None if speech is None else speech.data.shape[0]
+        got = None if speech is None else speech.shape[0]
         if got != want:
             raise ShapeMismatch("decoder", f"splice length {want} != speech embeddings {got}")
-        if speech is not None and not np.isfinite(speech.data).all():
+        if speech is not None and not np.isfinite(speech).all():
             raise NonFiniteInput("decoder")
-        if want is None:
-            emb = ag.embedding_lookup(self.tok_emb, seq.ids)
-        else:
-            s0, s1 = seq.splice_start, seq.splice_start + seq.splice_len
-            emb = ag.concat([ag.embedding_lookup(self.tok_emb, seq.ids[:s0]), speech,
-                             ag.embedding_lookup(self.tok_emb, seq.ids[s1:])], axis=0)
-        return ag.add(emb, self.pe[:t])
+        x = ag.embedding_kernel(self.tok_emb.data, seq.ids)
+        if want is not None:
+            x[seq.splice_start:seq.splice_start + want] = speech
+        x += self.pe[:t]
+        return x
+
+    def embed(self, seq: MultimodalSequence, speech: ag.Tensor | None) -> ag.Tensor:
+        """`embed_rows` as a graph node whose gradient reaches the speech."""
+        x = self.embed_rows(seq, None if speech is None else speech.data)
+        return ag.Tensor(x) if speech is None else ag.splice(x, speech, seq.splice_start)
 
     # -- training-path forward ----------------------------------------------
 
@@ -171,56 +207,68 @@ class InstructionDecoder:
         x = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
         return ag.matmul(x, self.w_out)
 
-    # -- inference path (numpy kernels, KV cache local to the call) ----------
+    # -- inference path (plain arrays, KV cache handed from call to call) ----
 
     def generate_greedy(self, seq: MultimodalSequence, speech: np.ndarray | None,
-                        max_new: int) -> GenerationResult:
+                        max_new: int, prior: KVState | None = None) -> GenerationResult:
         """Greedy decoding from a rendered prompt; ties break to the lowest id.
 
         Stops at the end-of-turn token (excluded from the result) or after
-        `max_new` tokens, in which case the result is flagged truncated.
+        `max_new` tokens, in which case the result is flagged truncated. A
+        `prior` state from an earlier call of the same request lends its
+        weights and the key/value rows of the prefix `seq` shares with it;
+        only the positions after that prefix are prefilled.
         """
         if max_new < 1:
             raise ValueError("max_new must be >= 1")
         stop_id = self.vocab.special_id("end_turn")
-        if speech is not None:
-            speech = ag.Tensor(np.asarray(speech, dtype=np.float32))
-        x = self.embed(seq, speech).data
-        weights = [layer.weights() for layer in self.layers]
+        x = self.embed_rows(seq, speech)
+        t, d = x.shape
+        if prior is None:
+            weights, shared = [layer.weights() for layer in self.layers], 0
+        else:
+            weights, shared = prior.weights, prior.shared_rows(seq, speech)
         # one row per prompt position and per generated token, capped at the
         # position table
-        rows = min(self.cfg.max_positions, x.shape[0] + max_new)
-        caches = [(np.empty((rows, x.shape[1]), dtype=x.dtype),
-                   np.empty((rows, x.shape[1]), dtype=x.dtype)) for _ in self.layers]
-        h = self._extend(x, 0, weights, caches)
-        logits = self._head(h[-1:])
+        rows = min(self.cfg.max_positions, t + max_new)
+        caches = []
+        for i in range(len(self.layers)):
+            k_buf, v_buf = np.empty((rows, d), x.dtype), np.empty((rows, d), x.dtype)
+            if shared:
+                k_prev, v_prev = prior.caches[i]
+                k_buf[:shared], v_buf[:shared] = k_prev[:shared], v_prev[:shared]
+            caches.append((k_buf, v_buf))
+        h = self._extend(x[shared:], shared, weights, caches)
+        logits = self._head(h[-1])
         out_ids: list[int] = []
         truncated = False
-        pos = x.shape[0]
+        pos = t
         for _ in range(max_new):
-            nxt = int(np.argmax(logits[-1]))
+            nxt = int(np.argmax(logits))
             if nxt == stop_id:
                 break
             out_ids.append(nxt)
             if len(out_ids) == max_new or pos >= self.cfg.max_positions:
                 truncated = True
                 break
-            step = self.tok_emb.data[nxt] + self.pe[pos]
-            logits = self._head(self._extend(step[None, :], pos, weights, caches))
+            h = self.tok_emb.data[nxt] + self.pe[pos]
+            for layer, w, cache in zip(self.layers, weights, caches):
+                h = layer.step(h, w, cache, pos)
+            logits = self._head(h)
             pos += 1
-        return GenerationResult(ids=out_ids, text=self.vocab.detokenize(out_ids),
-                                truncated=truncated)
+        filled = np.concatenate([seq.ids, np.asarray(out_ids[:pos - t], dtype=np.int64)])
+        return GenerationResult(
+            ids=out_ids, text=self.vocab.detokenize(out_ids), truncated=truncated,
+            kv=KVState(filled, speech, seq.splice_start, weights, caches))
 
     def _extend(self, x: np.ndarray, start: int, weights, caches) -> np.ndarray:
         """Run positions start..start+len(x) through every layer, writing their
         keys and values into the cache rows of the same positions."""
-        # a single new position may attend to every cached one
-        mask = (ag.causal_mask(start + x.shape[0], dtype=x.dtype)[start:]
-                if x.shape[0] > 1 else None)
+        mask = ag.causal_mask(start + x.shape[0], dtype=x.dtype, start=start)
         for layer, w, cache in zip(self.layers, weights, caches):
             x = layer.run(x, w, cache, start, mask)
         return x
 
     def _head(self, x: np.ndarray) -> np.ndarray:
-        return ag.layer_norm_kernel(x, self.ln_f_g.data, self.ln_f_b.data) @ self.w_out.data
-
+        """Logits [vocab] of one hidden row [d]."""
+        return ag.layer_norm_row(x, self.ln_f_g.data, self.ln_f_b.data) @ self.w_out.data

@@ -10,6 +10,8 @@ kernels in `autograd`, since nothing ever differentiates it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autograd as ag
@@ -23,8 +25,9 @@ class TransformerBlock:
     """Pre-norm block: self-attention then GELU feed-forward.
 
     One class serves the frozen encoder and the decoder. `__call__` is the
-    encoder's entry; the decoder runs `run` on its KV cache at inference
-    and `causal_forward` on the graph in training. Its base weights are
+    encoder's entry; at inference the decoder prefills its KV cache with
+    `run` and decodes one row at a time with `step`, and in training it
+    runs `causal_forward` on the graph. Its base weights are
     frozen; `lora` maps a projection name to the adapter that
     `InstructionDecoder.inject_lora` wraps around it.
     """
@@ -50,9 +53,12 @@ class TransformerBlock:
                 self.w1, self.b1, self.w2, self.b2]
 
     def weights(self) -> dict[str, np.ndarray]:
-        """Effective q/k/v/o projection arrays, LoRA updates folded in."""
-        return {name: self.lora[name].effective_weight() if name in self.lora else p.data
-                for name, p in self.proj.items()}
+        """Effective q/k/v/o projection arrays, LoRA updates folded in, and
+        q/k/v side by side as one [d, 3d] "qkv" array for `step`."""
+        w = {name: self.lora[name].effective_weight() if name in self.lora else p.data
+             for name, p in self.proj.items()}
+        w["qkv"] = np.concatenate((w["q"], w["k"], w["v"]), axis=1)
+        return w
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """[T, d] -> [T, d]; bit-identical to the same block built from graph ops."""
@@ -72,6 +78,31 @@ class TransformerBlock:
             k, v = k_buf[:stop], v_buf[:stop]
         x = x + ag.attention_kernel(h @ w["q"], k, v, self.n_heads, mask)[0] @ w["o"]
         h = ag.layer_norm_kernel(x, self.ln2_g.data, self.ln2_b.data)
+        return x + ag.feed_forward_kernel(h, self.w1.data, self.b1.data,
+                                          self.w2.data, self.b2.data)
+
+    def step(self, x: np.ndarray, w: dict[str, np.ndarray], cache, pos: int) -> np.ndarray:
+        """`run` of the one row x [d] at position `pos`, in fewer array calls:
+        its key and value go into cache row `pos`, and it attends to rows
+        0..pos with one matrix-vector product per head for the scores and one
+        for the values, batched over the heads, whose operands are column
+        slices (views) of the row-major buffers. Equal to `run` within
+        float32 rounding (decoding only)."""
+        d = x.shape[0]
+        heads, dh = self.n_heads, d // self.n_heads
+        qkv = ag.layer_norm_row(x, self.ln1_g.data, self.ln1_b.data) @ w["qkv"]
+        k_buf, v_buf = cache
+        k_buf[pos], v_buf[pos] = qkv[d:2 * d], qkv[2 * d:]
+        q = qkv[:d]
+        q *= 1.0 / math.sqrt(dh)
+        rows = pos + 1
+        s = k_buf[:rows].reshape(rows, heads, dh).transpose(1, 0, 2) @ q.reshape(heads, dh, 1)
+        s -= s.max(axis=1, keepdims=True)  # [heads, rows, 1]
+        np.exp(s, out=s)
+        a = v_buf[:rows].reshape(rows, heads, dh).transpose(1, 2, 0) @ s
+        a /= s.sum(axis=1, keepdims=True)  # [heads, dh, 1]
+        x = x + a.reshape(d) @ w["o"]
+        h = ag.layer_norm_row(x, self.ln2_g.data, self.ln2_b.data)
         return x + ag.feed_forward_kernel(h, self.w1.data, self.b1.data,
                                           self.w2.data, self.b2.data)
 

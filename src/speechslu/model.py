@@ -12,7 +12,7 @@ from .aligner import ModalityAligner
 from .audio import resolve_audio, source_key
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, config_hash, load_config, save_config
-from .decoder import InstructionDecoder, expand_splice
+from .decoder import GenerationResult, InstructionDecoder, KVState, expand_splice
 from .encoder import SpeechEncoder
 from .errors import ConfigError, ShapeMismatch
 from .prompts import DialogueTurn, PromptBank, render_chat
@@ -84,18 +84,23 @@ class SluModel:
         """Aligned speech embeddings (graph output; gradients reach the aligner)."""
         return self.aligner.align(ag.Tensor(self.encode_mel(audio_ref, base_dir)))
 
+    def speech_rows(self, audio_ref: str, base_dir=None) -> np.ndarray:
+        """`embed_audio`'s values as a plain array, with no graph (inference)."""
+        return self.aligner.run(self.encode_mel(audio_ref, base_dir))
+
     # -- generation -----------------------------------------------------------
 
-    def generate(self, turns: list[DialogueTurn], speech: np.ndarray | None,
-                 max_new: int) -> tuple[str, bool, str]:
-        """Greedy response to a dialogue; returns (text, truncated, rendered prompt)."""
+    def generate(self, turns: list[DialogueTurn], speech: np.ndarray | None, max_new: int,
+                 prior: KVState | None = None) -> tuple[GenerationResult, str]:
+        """Greedy response to a dialogue, and its rendered prompt. `prior` is an
+        earlier generation's state for the same speech (see `generate_greedy`)."""
         rendered = render_chat(turns, self.vocab, self.prompt_cfg,
                                add_generation_prompt=True)
         seq = expand_splice(rendered.ids, rendered.splice_index,
                             0 if speech is None else len(speech),
                             self.vocab.special_id("speech_placeholder"))
-        out = self.decoder.generate_greedy(seq, speech, max_new)
-        return out.text, out.truncated, rendered.text(self.vocab)
+        out = self.decoder.generate_greedy(seq, speech, max_new, prior)
+        return out, rendered.text(self.vocab)
 
     # -- persistence ----------------------------------------------------------
 

@@ -27,6 +27,7 @@ class SluResult:
     truncated: bool = False
     n_generations: int = 0
     round_prompts: list[str] = field(default_factory=list)
+    generated_tokens: list[int] = field(default_factory=list)  # per round
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +179,31 @@ def infer(record: ManifestRecord, strategy: str, model, rng: np.random.Generator
         raise ValueError(f"unknown strategy {strategy!r}")
     kind = TASKS[record.task]
     strategy = "alone" if kind.plain else strategy
-    speech = model.embed_audio(record.audio, base_dir).data
+    speech = model.speech_rows(record.audio, base_dir)
     result = SluResult(task=record.task, strategy=strategy)
     delim = model.prompt_cfg.scot_delimiter
     icfg = model.infer_cfg
     max_new = icfg.max_new_long if kind.long_output else icfg.max_new_short
     asr_prompt = None if strategy == "alone" else build_task_prompt("ASR", [], model.bank, rng)
     instruction = task_instruction(record, inventories, model, rng)
+    prior = None
     if strategy == "scot":
         max_new = icfg.max_new_long
     elif strategy == "mr":  # round 1 transcribes, round 2 answers from the transcript
-        transcript, result.truncated, rendered = model.generate(
-            strategy_turns("alone", asr_prompt), speech, icfg.max_new_short)
-        result.transcript = transcript.strip()
+        out, rendered = model.generate(strategy_turns("alone", asr_prompt), speech,
+                                       icfg.max_new_short)
+        result.transcript = out.text.strip()
+        result.truncated = out.truncated
         result.round_prompts.append(rendered)
+        result.generated_tokens.append(len(out.ids))
+        prior = out.kv  # round 2's prompt starts with round 1's
     turns = strategy_turns(strategy, instruction, asr_prompt, result.transcript, delim)
 
-    text, truncated, rendered = model.generate(turns, speech, max_new)
-    result.raw_text = text
-    result.truncated = result.truncated or truncated
+    out, rendered = model.generate(turns, speech, max_new, prior)
+    text = result.raw_text = out.text
+    result.truncated = result.truncated or out.truncated
     result.round_prompts.append(rendered)
+    result.generated_tokens.append(len(out.ids))
     result.n_generations = len(result.round_prompts)
     if strategy == "scot":
         result.transcript, text = parse_scot_response(text, delim)
@@ -256,7 +262,7 @@ def predictions_to_jsonl(pairs: list[tuple[ManifestRecord, SluResult]],
             "transcript": res.transcript, "intent": res.intent,
             "entities": res.entities, "binary": res.binary,
             "raw_text": res.raw_text, "truncated": res.truncated,
-            "n_generations": res.n_generations,
+            "n_generations": res.n_generations, "generated_tokens": res.generated_tokens,
         }, sort_keys=True, ensure_ascii=False))
     return "\n".join(lines) + "\n"
 

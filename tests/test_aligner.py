@@ -10,7 +10,7 @@ from speechslu.aligner import ModalityAligner
 from speechslu.audio import MelSpectrogram
 from speechslu.config import AlignerConfig, EncoderConfig
 from speechslu.encoder import SpeechEncoder
-from speechslu.errors import ShapeMismatch
+from speechslu.errors import NonFiniteInput, ShapeMismatch
 from speechslu.optim import AdamWState, adamw_step
 
 from test_autograd import assert_gradcheck
@@ -111,3 +111,28 @@ def test_system_downsampling_factor_is_eight():
         mel = MelSpectrogram(frames=np.zeros((80, t_mel), dtype=np.float32))
         out = ali.align(enc.encode(mel))
         assert out.data.shape[0] == t_mel // 8
+
+
+@pytest.mark.parametrize("shape,cfg", [
+    ((24, 16), AlignerConfig(d_enc=16, d_dec=40, bottleneck_dim=12)),  # micro recipe
+    ((1500, 64), AlignerConfig()),                                     # paper scale
+], ids=["micro", "paper"])
+def test_array_forward_equals_graph_align_bitwise(shape, cfg):
+    aligner = ModalityAligner(cfg, np.random.default_rng(14))
+    refill = np.random.default_rng(15)
+    for p in aligner.named_parameters().values():  # a trained adapter is not zero
+        p.data = refill.normal(size=p.data.shape, scale=0.3).astype(np.float32)
+    enc = refill.normal(size=shape).astype(np.float32)
+    graph = aligner.align(ag.Tensor(enc)).data
+    array = aligner.run(enc)
+    assert array.dtype == graph.dtype and array.tobytes() == graph.tobytes()
+
+
+def test_array_forward_rejects_non_finite_and_misshaped_input():
+    aligner = make_aligner()
+    enc = np.zeros((8, 8), dtype=np.float32)
+    enc[3, 2] = np.nan
+    with pytest.raises(NonFiniteInput, match="align"):
+        aligner.run(enc)
+    with pytest.raises(ShapeMismatch, match="align"):
+        aligner.run(np.zeros((8, 5), dtype=np.float32))

@@ -221,9 +221,9 @@ def test_config_rejects_unknown_keys():
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
     for name in ("gradient-check", "lora-linear-vjp", "causal-attention-vjp",
-                 "lora-identity", "shape-law-3000-1500-375", "gelu-cube"):
+                 "lora-identity", "shape-law-3000-1500-375", "gelu-cube", "kv-decode"):
         assert f"PASS {name} " in out
     assert "FAIL" not in out
 
@@ -590,6 +590,30 @@ def test_infer_rejects_a_checkpoint_of_another_config(trained_run, tmp_path, cap
     err = capsys.readouterr().err
     assert str(edited) in err and saved_hash in err and config_hash(cfg) in err
     assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("section,values,key", [
+    ("train", {"batch_size": 0}, "train.batch_size"),
+    ("encoder", {"n_heads": 3}, "encoder.n_heads"),
+    ("decoder", {"n_heads": 3}, "decoder.n_heads"),
+    ("decoder", {"n_heads": 0}, "decoder.n_heads"),
+    ("decoder", {"max_positions": 0}, "decoder.max_positions"),
+    ("infer", {"max_new_short": 0}, "infer.max_new_short"),
+    ("infer", {"max_new_long": -1}, "infer.max_new_long"),
+], ids=["batch-0", "enc-heads-3", "dec-heads-3", "dec-heads-0", "positions-0",
+        "short-0", "long-neg"])
+def test_train_rejects_a_config_value_out_of_range(tmp_path, capsys, section, values, key):
+    path = tmp_path / "ic.jsonl"
+    rows = [{"id": f"ic-{i}", "audio": "synthetic:lights on", "transcript": "lights on",
+             "task": "IC", "annotation": {"intent": "lights_on"}} for i in range(2)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({section: values}), encoding="utf-8")
+    assert main(["train", "--config", str(cfg_path), "--manifest", str(path),
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {cfg_path}: {key}: must be >= 1" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("entities", ["room", [["room"]], [["room", 3]], [[1, "x"]]],

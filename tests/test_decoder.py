@@ -256,27 +256,39 @@ def test_greedy_ties_break_to_lowest_id():
     assert out.ids == [0]
 
 
-@pytest.mark.parametrize("targets", [("q", "k", "v", "o"), ("q", "v")], ids=["qkvo", "qv"])
-def test_kv_cached_path_matches_graph_forward(targets):
-    # ("q", "v") leaves k and o unwrapped: their folded weight is the base one
-    dec, vocab = make_decoder(seed=23, lora=LoraConfig(rank=2, alpha=4.0, targets=targets))
-    # give the adapters real content so the folded path is exercised
-    fill = np.random.default_rng(24)
-    for layer in dec.layers:
-        for wrapper in layer.lora.values():
-            wrapper.B.data = fill.normal(size=wrapper.B.data.shape).astype(np.float32) * 0.1
-    seq = seq_of(vocab, "turn on the", speech_len=3)
-    speech = rand_speech(fill, 3, 32, as_tensor=False)
-    # record the logits the KV-cached path chooses from at every step
+def _recording_head(dec):
+    """Route `dec._head` through a recorder; returns the list of the logits
+    the cached path chooses from, one row per step."""
     step_logits = []
-    head = dec._head
 
     def recording_head(x):
-        logits = head(x)
-        step_logits.append(logits[-1])
+        logits = InstructionDecoder._head(dec, x)
+        step_logits.append(logits)
         return logits
 
     dec._head = recording_head
+    return step_logits
+
+
+def _fill_adapters(dec, rng):
+    """Give the adapters real content so the folded path is exercised."""
+    for layer in dec.layers:
+        for wrapper in layer.lora.values():
+            wrapper.B.data = rng.normal(size=wrapper.B.data.shape).astype(np.float32) * 0.1
+
+
+@pytest.mark.parametrize("targets,n_heads", [
+    (("q", "k", "v", "o"), 2), (("q", "v"), 2), (("q", "k", "v", "o"), 4), (("q", "v"), 4),
+], ids=["qkvo", "qv", "qkvo-4-heads", "qv-4-heads"])
+def test_kv_cached_path_matches_graph_forward(targets, n_heads):
+    # ("q", "v") leaves k and o unwrapped: their folded weight is the base one
+    dec, vocab = make_decoder(seed=23, lora=LoraConfig(rank=2, alpha=4.0, targets=targets),
+                              n_heads=n_heads)
+    fill = np.random.default_rng(24)
+    _fill_adapters(dec, fill)
+    seq = seq_of(vocab, "turn on the", speech_len=3)
+    speech = rand_speech(fill, 3, 32, as_tensor=False)
+    step_logits = _recording_head(dec)
     out = dec.generate_greedy(seq, speech, max_new=6)
     assert len(step_logits) == len(out.ids) == 6
     # replay: graph forward over prompt + generated ids must yield the same
@@ -289,3 +301,65 @@ def test_kv_cached_path_matches_graph_forward(targets):
         graph = logits[len(seq.ids) - 1 + i]
         np.testing.assert_allclose(cached, graph, rtol=1e-5, atol=1e-5)
         assert int(np.argmax(graph)) == tok
+
+
+def _round_two(vocab, seq, round_one, tail: str):
+    """A second-round prompt: round 1's filled ids, then `tail`'s tokens."""
+    ids = np.concatenate([round_one.kv.ids, np.asarray(vocab.tokenize(tail), dtype=np.int64)])
+    return MultimodalSequence(ids, splice_start=seq.splice_start, splice_len=seq.splice_len)
+
+
+def _prefill_starts(dec, monkeypatch):
+    """Record the first position each prefill of `dec` starts at."""
+    starts = []
+    extend = dec._extend
+
+    def recording(x, start, weights, caches):
+        starts.append(start)
+        return extend(x, start, weights, caches)
+
+    monkeypatch.setattr(dec, "_extend", recording)
+    return starts
+
+
+@pytest.mark.parametrize("tail", ["", " play music hello"], ids=["same-prompt", "longer"])
+def test_round_two_reuses_round_one_rows_with_fresh_logits(monkeypatch, tail):
+    dec, vocab = make_decoder(seed=27, lora=LoraConfig(rank=2, alpha=4.0), n_heads=4)
+    rng = np.random.default_rng(28)
+    _fill_adapters(dec, rng)
+    seq = seq_of(vocab, "turn on the", speech_len=3)
+    speech = rand_speech(rng, 3, 32, as_tensor=False)
+    first = dec.generate_greedy(seq, speech, max_new=4)
+    seq2 = _round_two(vocab, seq, first, tail)
+    starts = _prefill_starts(dec, monkeypatch)
+    reused_logits = _recording_head(dec)
+    reused = dec.generate_greedy(seq2, speech, max_new=5, prior=first.kv)
+    fresh_logits = _recording_head(dec)
+    fresh = dec.generate_greedy(seq2, speech, max_new=5)
+    # every filled row is shared, short of round 2's last prompt position
+    assert starts == [min(len(first.kv.ids), len(seq2.ids) - 1), 0]
+    assert reused.ids == fresh.ids and reused.truncated == fresh.truncated
+    assert len(reused_logits) == len(fresh_logits) > 1
+    for a, b in zip(reused_logits, fresh_logits):
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("change", ["speech", "first-id"])
+def test_round_two_prefills_everything_when_nothing_is_shared(monkeypatch, change):
+    dec, vocab = make_decoder(seed=29, lora=LoraConfig(rank=2, alpha=4.0))
+    rng = np.random.default_rng(30)
+    seq = seq_of(vocab, "turn on the", speech_len=3)
+    speech = rand_speech(rng, 3, 32, as_tensor=False)
+    first = dec.generate_greedy(seq, speech, max_new=4)
+    seq2 = _round_two(vocab, seq, first, " play music")
+    if change == "speech":
+        speech2 = speech.copy()
+        speech2[2, 5] += 1.0
+    else:
+        speech2 = speech
+        seq2.ids[0] = vocab.word_offset
+    starts = _prefill_starts(dec, monkeypatch)
+    reused = dec.generate_greedy(seq2, speech2, max_new=5, prior=first.kv)
+    fresh = dec.generate_greedy(seq2, speech2, max_new=5)
+    assert starts == [0, 0]
+    assert reused.ids == fresh.ids

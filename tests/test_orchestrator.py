@@ -1,5 +1,7 @@
 """Inference orchestration: strategy contracts and output parsing."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,22 @@ def test_infer_manifest_and_predictions_round_trip(tmp_path, tiny_model, micro_c
     assert meta["strategy"] == "alone"
     assert [p["id"] for p in preds] == [r.id for r in records]
     assert all(p["n_generations"] == 1 for p in preds)
+
+
+def test_predictions_record_generated_tokens_per_round(tiny_model, micro_corpus, monkeypatch):
+    counts = []
+    generate = tiny_model.decoder.generate_greedy
+
+    def counting(*args):
+        out = generate(*args)
+        counts.append(len(out.ids))
+        return out
+
+    monkeypatch.setattr(tiny_model.decoder, "generate_greedy", counting)
+    records = micro_corpus["IC"][:2]
+    pairs = infer_manifest(records, tiny_model, "mr", seed=3)
+    lines = predictions_to_jsonl(pairs, tiny_model.config_hash, "mr").splitlines()[1:]
+    assert [json.loads(line)["generated_tokens"] for line in lines] == [counts[:2], counts[2:]]
 
 
 def test_infer_manifest_deterministic_under_seed(tiny_model, micro_corpus):

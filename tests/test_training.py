@@ -243,9 +243,9 @@ def test_training_prompt_is_the_inference_prompt(tiny_model, micro_corpus, flat_
     prompts = []
     generate = tiny_model.decoder.generate_greedy
 
-    def recording(seq, speech, max_new):
+    def recording(seq, speech, max_new, *args):
         prompts.append(list(seq.ids))
-        return generate(seq, speech, max_new)
+        return generate(seq, speech, max_new, *args)
 
     monkeypatch.setattr(tiny_model.decoder, "generate_greedy", recording)
     for record in micro_corpus["IC"] + micro_corpus["SF"]:
