@@ -26,7 +26,8 @@ HOP_SECONDS = 0.010
 
 MEL_MAGIC = b"MELF"
 
-# frames per block of `log_mel`'s power spectrum
+# most frames in a `log_mel` block; blocks are equal, so a split clip's hold 128
+# or more (BLAS gives a float64 mel product of 1-15 rows other bits)
 _FRAME_BLOCK = 256
 
 
@@ -78,11 +79,11 @@ def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
             clip_seconds: float = 30.0) -> MelSpectrogram:
     """Log-mel spectrogram of a mono waveform, padded/truncated to the clip length.
 
-    The power spectrum is built `_FRAME_BLOCK` frames at a time into one
-    preallocated array, so no frame matrix or FFT output of the whole clip
-    exists at once. Each frame is transformed on its own, so the blocks give
-    the bits of the whole-clip computation; the mel product stays one GEMM,
-    since a GEMM's rows can change with its row count.
+    Each of equal blocks of at most `_FRAME_BLOCK` frames is transformed,
+    squared, multiplied by the mel filterbank, floored and logged into the
+    preallocated result, so nothing of the whole clip but the result exists.
+    Every frame is transformed on its own and no block is short enough for
+    BLAS to change kernels, so the blocks give the bits of the whole clip.
     """
     wav = np.asarray(waveform, dtype=np.float64).reshape(-1)
     if wav.size == 0:
@@ -100,12 +101,11 @@ def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
     # frame t covers samples t*hop - half .. t*hop - half + win (centered on t*hop)
     half = win // 2
     window, fb_t = _analysis_tables(n_mels, win, sample_rate)
-    # the result is allocated before the transients, so that freed they leave
-    # one contiguous hole for the encoder's scores (a lower peak RSS, measured)
     logmel = np.empty((n_mels, t_mel), dtype=np.float32)
-    spec = np.empty((t_mel, win // 2 + 1))
-    for t0 in range(0, t_mel, _FRAME_BLOCK):
-        t1 = min(t0 + _FRAME_BLOCK, t_mel)
+    n = -(-t_mel // _FRAME_BLOCK)
+    edges = [i * t_mel // n for i in range(n + 1)] if t_mel else []
+    spec = np.empty((min(t_mel, _FRAME_BLOCK), win // 2 + 1))
+    for t0, t1 in zip(edges, edges[1:]):
         lo, hi = t0 * hop - half, (t1 - 1) * hop - half + win
         if lo >= 0 and hi <= wav.size:
             seg = wav[lo:hi]
@@ -115,12 +115,12 @@ def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
             if a < b:
                 seg[a - lo:b - lo] = wav[a:b]
         frames = np.lib.stride_tricks.sliding_window_view(seg, win)[::hop]
-        np.abs(np.fft.rfft(frames * window, n=win, axis=1), out=spec[t0:t1])
-    np.square(spec, out=spec)
-    mel = spec @ fb_t
-    np.maximum(mel, LOG_FLOOR, out=mel)
-    np.log(mel, out=mel)
-    logmel[...] = mel.T
+        s = np.abs(np.fft.rfft(frames * window, n=win, axis=1), out=spec[:t1 - t0])
+        np.square(s, out=s)
+        m = s @ fb_t
+        np.maximum(m, LOG_FLOOR, out=m)
+        np.log(m, out=m)
+        logmel[:, t0:t1] = m.T
     return MelSpectrogram(frames=logmel, n_mels=n_mels)
 
 

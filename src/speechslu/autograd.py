@@ -38,20 +38,17 @@ cube, and is finite exactly when it is, for every finite float32 (an
 exhaustive sweep; `speechslu selftest` samples it again). Float64 arrays
 and smaller float32 arrays use `x**3` directly.
 
-`attention_kernel` bounds its scores by `_SCORE_BUDGET` (2^20 elements,
-4 MiB of float32) unless its caller keeps the softmax weights, as the graph
-op's VJP does: when all heads' [Tq, Tk] scores exceed the budget, the heads
-run in groups that fit it (at least one head per group) through one reused
-buffer. Grouping by head is exact because numpy's batched matmul already
-makes one GEMM per head and softmax rows never span heads; splitting by query
-rows is not, since float32 GEMM rows depend on the row count. Every shape
-within the budget (all training, the micro config, and the decoder calls of
-a paper-scale request, whose prompts stay under 724 positions) runs the
-all-heads code.
+`attention_kernel` bounds its scores by `_SCORE_BUDGET` unless its caller
+keeps the softmax weights, as the graph op's VJP does: above it, each head
+runs in blocks of query rows sized to keep every bit (FlashAttention's tiling,
+in query rows only). Every shape within the budget (all training, the micro
+config, and the decoder calls of a paper-scale request, whose prompts stay
+under 724 positions) runs the all-heads code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -253,10 +250,14 @@ def feed_forward_kernel(h: np.ndarray, w1: np.ndarray, b1: np.ndarray,
     return out
 
 
-# Score elements an `attention_kernel` call holds at once when its caller
-# does not keep the softmax weights (4 MiB of float32): above it, heads run in
-# groups that fit it, or one at a time where one head's scores exceed it.
+# Above `_SCORE_BUDGET` score elements (4 MiB of float32), `attention_kernel`
+# runs each head in blocks of `_BLOCK_ROWS` or more query rows: 256 rows of
+# 1500 keys (1.5 MiB) fit a 2 MiB L2. Single-thread OpenBLAS computes a GEMM of
+# at most 10^6 multiply-adds, or of one column, with kernels whose rows differ
+# from the whole product's, so blocks grow past 2^20 multiply-adds and dh = 1
+# runs whole heads; softmax rows are row-local, so the blocks keep every bit.
 _SCORE_BUDGET = 1 << 20
+_BLOCK_ROWS = 256
 
 
 def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
@@ -267,10 +268,10 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
 
     `mask` is additive and broadcasts to [Tq, Tk] (-inf hides a key). When
     the scores of all heads exceed `_SCORE_BUDGET` elements and `keep_weights`
-    is not set, the heads run in groups of at most the budget (at least one
-    head) through one reused buffer, and the weights returned are None. Each
-    head is its own GEMM and softmax rows never span heads, so the groups give
-    the bits of all heads at once.
+    is not set, each head runs in equal blocks of query rows through one
+    reused [rows, Tk] buffer, each block's value product is written straight
+    into the output, and the weights returned are None; the blocks give the
+    bits of all heads at once.
     """
     tq, d = q.shape
     tk = k.shape[0]
@@ -282,14 +283,17 @@ def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     if keep_weights or n_heads * tq * tk <= _SCORE_BUDGET:
         w = _softmax_scores(qh @ kh, scale, mask)
         return (w @ vh).transpose(1, 0, 2).reshape(tq, d), w
-    group = max(1, _SCORE_BUDGET // (tq * tk))
-    out = np.empty((tq, n_heads, dh), dtype=q.dtype)
-    buf = np.empty((min(group, n_heads), tq, tk), dtype=q.dtype)
-    for h0 in range(0, n_heads, group):
-        h1 = min(h0 + group, n_heads)
-        w = np.matmul(qh[h0:h1], kh[h0:h1], out=buf[:h1 - h0])
-        out[:, h0:h1] = (_softmax_scores(w, scale, mask) @ vh[h0:h1]).transpose(1, 0, 2)
-    return out.reshape(tq, d), None
+    rows = max(_BLOCK_ROWS, (1 << 20) // (dh * tk) + 1)
+    n = max(1, tq // rows) if dh > 1 else 1
+    edges = [i * tq // n for i in range(n + 1)]
+    mask = None if mask is None else np.broadcast_to(mask, (tq, tk))
+    out = np.empty((n_heads, tq, dh), dtype=q.dtype)
+    buf = np.empty((-(-tq // n), tk), dtype=q.dtype)
+    for h, (r0, r1) in itertools.product(range(n_heads), zip(edges, edges[1:])):
+        w = np.matmul(qh[h, r0:r1], kh[h], out=buf[:r1 - r0])
+        w = _softmax_scores(w, scale, None if mask is None else mask[r0:r1])
+        np.matmul(w, vh[h], out=out[h, r0:r1])
+    return out.transpose(1, 0, 2).reshape(tq, d), None
 
 
 def _softmax_scores(w: np.ndarray, scale: np.ndarray,

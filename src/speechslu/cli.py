@@ -248,7 +248,7 @@ def cmd_selftest(args) -> int:
     from .config import AlignerConfig, DecoderConfig, EncoderConfig, LoraConfig
     from .decoder import InstructionDecoder, MultimodalSequence, expand_splice
     from .encoder import SpeechEncoder
-    from .audio import MelSpectrogram
+    from .audio import LOG_FLOOR, MelSpectrogram, log_mel, mel_filterbank
     from .tokenizer import Vocabulary, default_specials
 
     failures = []
@@ -357,6 +357,22 @@ def cmd_selftest(args) -> int:
         if got.tobytes() != t.tobytes() or out.tobytes() != (0.5 * x * (1.0 + t)).tobytes():
             raise AssertionError("gelu_kernel differs from the plain x**3 formula")
 
+    def attention_blocks():
+        # the blocks keep every bit only on a BLAS whose GEMM rows ignore the row count
+        rng = np.random.default_rng(7)
+        for tq, d, heads in ((1500, 64, 2), (1100, 8, 4)):
+            q, k, v = (rng.normal(size=(tq, d)).astype(np.float32) for _ in range(3))
+            whole = ag.attention_kernel(q, k, v, heads, keep_weights=True)[0]
+            if ag.attention_kernel(q, k, v, heads)[0].tobytes() != whole.tobytes():
+                raise AssertionError(f"query blocks differ at [{tq}, {d}], {heads} heads")
+        wav = rng.normal(size=513 * 160)  # 513 frames, in 3 blocks of 171
+        frames = np.lib.stride_tricks.sliding_window_view(np.pad(wav, 200), 400)[::160][:513]
+        fb_t = mel_filterbank(80, 400, 16000).T.astype(np.float64)  # F-ordered, as log_mel's
+        mel = np.abs(np.fft.rfft(frames * np.hanning(400))) ** 2 @ fb_t
+        whole = np.log(np.maximum(mel, LOG_FLOOR)).T.astype(np.float32)
+        if log_mel(wav, 16000, clip_seconds=5.13).frames.tobytes() != whole.tobytes():
+            raise AssertionError("log_mel's frame blocks differ from the whole clip")
+
     def kv_decode():
         # the cached single-row steps, and a second round that reuses the
         # first's key/value rows, against the graph forward of the same ids
@@ -402,6 +418,7 @@ def cmd_selftest(args) -> int:
     check("lora-identity", lora_identity)
     check("shape-law-3000-1500-375", shape_law)
     check("gelu-cube", gelu_cube)
+    check("attention-blocks", attention_blocks)
     check("kv-decode", kv_decode)
     if failures:
         print(f"selftest: {len(failures)} failure(s)")

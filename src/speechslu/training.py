@@ -91,8 +91,9 @@ class TraceRow:
     grad_norm: float = 0.0  # this step's global gradient norm, before clipping
     step_ms: float = 0.0    # wall time of this step, the same on each of its rows
 
-    def csv(self) -> str:
-        return f"{self.step},{self.task},{self.config},{self.loss:.6f}"
+    def csv(self) -> str:  # every field but step_ms, which varies from run to run
+        return (f"{self.step},{self.task},{self.config},{self.loss:.6f},{self.tokens},"
+                f"{self.lr:.6g},{self.grad_norm:.6g}")
 
 
 @dataclass
@@ -195,6 +196,6 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
 
 
 def write_trace_csv(path, result: TrainResult, config_hash: str) -> None:
-    lines = [f"# config_hash={config_hash}", "step,task,config,loss"]
+    lines = [f"# config_hash={config_hash}", "step,task,config,loss,tokens,lr,grad_norm"]
     lines.extend(row.csv() for row in result.trace)
     write_atomic(path, "\n".join(lines) + "\n")

@@ -221,9 +221,10 @@ def test_config_rejects_unknown_keys():
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
     for name in ("gradient-check", "lora-linear-vjp", "causal-attention-vjp",
-                 "lora-identity", "shape-law-3000-1500-375", "gelu-cube", "kv-decode"):
+                 "lora-identity", "shape-law-3000-1500-375", "gelu-cube",
+                 "attention-blocks", "kv-decode"):
         assert f"PASS {name} " in out
     assert "FAIL" not in out
 
@@ -253,7 +254,7 @@ def test_train_writes_artifacts(trained_run):
     assert (run_dir / "config.json").exists()
     trace = (run_dir / "loss_trace.csv").read_text()
     assert trace.startswith("# config_hash=")
-    assert "step,task,config,loss" in trace
+    assert trace.splitlines()[1] == "step,task,config,loss,tokens,lr,grad_norm"
 
 
 def test_checkpoint_parameter_namespaces(trained_run):

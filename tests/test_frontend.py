@@ -209,7 +209,7 @@ def whole_clip_log_mel(waveform, sample_rate, n_mels=80, clip_seconds=30.0):
 @pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100])
 @pytest.mark.parametrize("length", [0.4, 1.0, 1.6])
 def test_log_mel_blocks_match_the_whole_clip_bitwise(sample_rate, length):
-    # 7.3 s is 730 frames: a first block, an interior block and a short last block
+    # 7.3 s is 730 frames: a first, an interior and a last block (243, 243, 244)
     clip = 7.3
     n = int(round(clip * sample_rate * length))
     wav = np.random.default_rng(n).normal(size=n) * 0.3
@@ -217,8 +217,12 @@ def test_log_mel_blocks_match_the_whole_clip_bitwise(sample_rate, length):
     assert got.tobytes() == whole_clip_log_mel(wav, sample_rate, clip_seconds=clip).tobytes()
 
 
+# 2.57 s is 257 frames, in blocks of 128 and 129, and 5.14 s is 514 frames, in
+# blocks of 171 and 172: 256-frame blocks would leave a last block of 1 or 2
+# frames, whose float64 mel product has other bits than the whole product's
 @pytest.mark.parametrize("n, clip", [(1, 0.05), (3, 0.05), (399, 0.05), (401, 0.05),
-                                     (5, 0.02), (7, 0.001), (800, 0.01), (4100, 2.56)])
+                                     (5, 0.02), (7, 0.001), (800, 0.01), (4100, 2.56),
+                                     (41120, 2.57), (80000, 5.14)])
 def test_log_mel_tiny_inputs_match_the_whole_clip_bitwise(n, clip):
     wav = np.random.default_rng(n).normal(size=n)
     got = log_mel(wav, SR, clip_seconds=clip).frames
@@ -237,11 +241,12 @@ def _traced_peak_mib(fn) -> float:
 
 
 def test_log_mel_peak_memory_of_a_30s_clip():
-    # measured 7.6 MiB (output 0.9, power spectrum 4.6 and one block's frames,
-    # FFT and magnitudes, then the 1.8 MiB mel); the whole-clip computation
-    # peaked at 22.0 MiB. The bound leaves 18 % above the measurement.
+    # measured 3.30 MiB (output 0.9, then one 250-frame block's frames, FFT,
+    # power spectrum and mel product); a whole-clip power spectrum peaked at
+    # 7.6 MiB and the whole-clip computation at 22.0. The bound leaves 21 %
+    # above the measurement.
     wav = np.random.default_rng(0).normal(size=SR * 30) * 0.3
-    assert _traced_peak_mib(lambda: log_mel(wav, SR)) < 9.0
+    assert _traced_peak_mib(lambda: log_mel(wav, SR)) < 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +308,12 @@ def _graph_encode(encoder, mel):
 
 
 def test_encode_peak_memory_at_3000_frames(encoder):
-    # measured 11.3 MiB: one head's [1500, 1500] scores (8.6) plus activations;
-    # with every head's scores at once it peaked at 20.1 MiB. The bound leaves
-    # 19 % above the measurement.
+    # measured 5.54 MiB: one block's [300, 1500] scores (1.7) plus activations;
+    # with one head's scores at once it peaked at 11.4 MiB, with every head's
+    # at 20.1. The bound leaves 26 % above the measurement.
     mel = MelSpectrogram(
         frames=(np.random.default_rng(1).normal(size=(80, 3000)) * 3).astype(np.float32))
-    assert _traced_peak_mib(lambda: encoder.encode(mel)) < 13.5
+    assert _traced_peak_mib(lambda: encoder.encode(mel)) < 7.0
 
 
 @pytest.mark.parametrize("t_mel", [3000, 101, 33])

@@ -13,7 +13,7 @@ from speechslu.decoder import expand_splice
 from speechslu.orchestrator import collect_inventories, infer
 from speechslu.prompts import STRATEGIES
 from speechslu.training import (assign_config, build_training_sequence, gold_answer,
-                                train, _epoch_stream, _repeated)
+                                train, write_trace_csv, _epoch_stream, _repeated)
 
 from conftest import build_tiny_model, param_hash
 
@@ -366,14 +366,24 @@ def test_train_updates_only_aligner_and_lora(micro_corpus):
     assert changed >= len(trainable_before) * 0.5
 
 
-def test_loss_trace_rows_and_determinism(micro_corpus):
+def test_loss_trace_rows_and_determinism(micro_corpus, tmp_path):
     records = micro_corpus["IC"][:3] + micro_corpus["SF"][:2]
-    traces = []
-    for _ in range(2):
+    traces, files = [], []
+    for run in range(2):
         model = build_tiny_model(records, seed=3, batch_size=1)
         result = train(records, model, epochs=2)
         traces.append([(r.step, r.task, r.config, r.loss) for r in result.trace])
+        files.append(tmp_path / f"trace{run}.csv")
+        write_trace_csv(files[-1], result, model.config_hash)
     assert traces[0] == traces[1]
+    # every field but the step time, which is not deterministic, reaches the file
+    assert files[0].read_bytes() == files[1].read_bytes()
+    lines = files[0].read_text().splitlines()
+    assert lines[1] == "step,task,config,loss,tokens,lr,grad_norm"
+    first, row = result.trace[0], lines[2].split(",")
+    assert int(row[4]) == first.tokens > 0
+    assert float(row[5]) == pytest.approx(first.lr, rel=1e-5) and first.lr > 0
+    assert float(row[6]) == pytest.approx(first.grad_norm, rel=1e-5) and first.grad_norm > 0
     assert len(traces[0]) == 2 * len(records)
     steps = [row[0] for row in traces[0]]
     assert steps == sorted(steps)
@@ -401,8 +411,8 @@ def test_trace_records_lr_and_pre_clip_gradient_norm(micro_corpus, monkeypatch):
         assert row.lr == pytest.approx(1e-2 * max(0.1, 1.0 - row.step / 2), rel=1e-12)
     assert ([(r.step, r.task, r.config, r.loss, r.tokens) for r in result.trace]
             == [(r.step, r.task, r.config, r.loss, r.tokens) for r in plain.trace])
-    # the CSV keeps its four columns
-    assert [row.csv().count(",") for row in result.trace] == [3] * len(result.trace)
+    # the CSV carries every field but the step time: seven columns
+    assert [row.csv().count(",") for row in result.trace] == [6] * len(result.trace)
 
 
 def test_trace_records_step_time(micro_corpus):
@@ -414,8 +424,8 @@ def test_trace_records_step_time(micro_corpus):
     assert sorted(by_step) == list(range(1, result.steps + 1))
     for times in by_step.values():
         assert len(times) == 1 and next(iter(times)) > 0
-    # the CSV keeps its four columns
-    assert [row.csv().count(",") for row in result.trace] == [3] * len(result.trace)
+    # the CSV carries every field but the step time: seven columns
+    assert [row.csv().count(",") for row in result.trace] == [6] * len(result.trace)
 
 
 def test_two_runs_same_seed_bitwise_identical_weights(micro_corpus):
