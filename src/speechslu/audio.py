@@ -75,13 +75,22 @@ def _analysis_tables(n_mels: int, win: int, sample_rate: int) -> tuple[np.ndarra
     return window, fb_t
 
 
+def frame_blocks(t_mel: int) -> list[tuple[int, int]]:
+    """`log_mel`'s split of t_mel frames: (start, stop) of ceil(t_mel /
+    _FRAME_BLOCK) blocks whose sizes differ by at most one."""
+    n = -(-t_mel // _FRAME_BLOCK)
+    edges = [i * t_mel // n for i in range(n + 1)] if t_mel else []
+    return list(zip(edges, edges[1:]))
+
+
 def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
             clip_seconds: float = 30.0) -> MelSpectrogram:
     """Log-mel spectrogram of a mono waveform, padded/truncated to the clip length.
 
-    Each of equal blocks of at most `_FRAME_BLOCK` frames is transformed,
-    squared, multiplied by the mel filterbank, floored and logged into the
-    preallocated result, so nothing of the whole clip but the result exists.
+    Each of `frame_blocks`' equal blocks of at most `_FRAME_BLOCK` frames is
+    transformed, squared, multiplied by the mel filterbank, floored and logged
+    into the preallocated result, so nothing of the whole clip but the result
+    exists.
     Every frame is transformed on its own and no block is short enough for
     BLAS to change kernels, so the blocks give the bits of the whole clip.
     """
@@ -102,10 +111,8 @@ def log_mel(waveform: np.ndarray, sample_rate: int, n_mels: int = 80,
     half = win // 2
     window, fb_t = _analysis_tables(n_mels, win, sample_rate)
     logmel = np.empty((n_mels, t_mel), dtype=np.float32)
-    n = -(-t_mel // _FRAME_BLOCK)
-    edges = [i * t_mel // n for i in range(n + 1)] if t_mel else []
     spec = np.empty((min(t_mel, _FRAME_BLOCK), win // 2 + 1))
-    for t0, t1 in zip(edges, edges[1:]):
+    for t0, t1 in frame_blocks(t_mel):
         lo, hi = t0 * hop - half, (t1 - 1) * hop - half + win
         if lo >= 0 and hi <= wav.size:
             seg = wav[lo:hi]

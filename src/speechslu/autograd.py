@@ -2,7 +2,10 @@
 
 A `Tensor` wraps a numpy float array plus an optional gradient and a
 `trainable` flag. Operations build an acyclic compute graph; `backward`
-walks it once in reverse topological order. Gradients are only ever
+walks it once in reverse topological order and releases it as it goes,
+so each node's saved arrays are freed once its VJP has run and the graph
+cannot be walked twice (a second walk raises GraphError). `cross_entropy`
+works on the kept rows only. Gradients are only ever
 materialised on trainable leaves -- frozen tensors keep `grad = None`
 no matter what graph they participate in, and subgraphs that cannot
 reach a trainable leaf are skipped entirely.
@@ -683,16 +686,19 @@ def cross_entropy(logits: Tensor, targets, ignore_mask=None,
     if keep.shape != (t,):
         raise ShapeMismatch("cross_entropy", f"mask {keep.shape} vs positions {t}")
 
-    m = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - m)
-    lse = np.log(e.sum(axis=-1)) + m[:, 0]
-    nll = lse - logits.data[np.arange(t), targets]
-    n_keep = int(keep.sum())
-    denom = max(1, n_keep) if reduction == "mean" else 1
-    out = np.asarray((nll * keep).sum() / denom, dtype=logits.data.dtype)
+    # only kept rows have a loss or a gradient; the rest stay exact zeros
+    rows = np.flatnonzero(keep)
+    x = logits.data[rows]
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    nll = np.zeros(t, dtype=logits.data.dtype)
+    nll[rows] = np.log(e.sum(axis=-1)) + m[:, 0] - logits.data[rows, targets[rows]]
+    denom = max(1, rows.size) if reduction == "mean" else 1
+    out = np.asarray(nll.sum() / denom, dtype=logits.data.dtype)
 
     def vjp(g):
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = np.zeros((t, vocab), dtype=e.dtype)
+        p[rows] = e / e.sum(axis=-1, keepdims=True)
         p[np.arange(t), targets] -= 1.0
         p *= (keep / denom)[:, None]
         return (p * g,)
@@ -710,7 +716,11 @@ def backward(loss: Tensor) -> None:
 
     Accumulates into existing `.grad` arrays, so calling backward on
     several losses sums their gradients. A graph with no trainable
-    leaves is a no-op (no gradient allocations at all).
+    leaves is a no-op (no gradient allocations at all). The graph is
+    released as it is walked: each node drops its VJP and inputs once its
+    VJP has run, so saved activations are freed as their gradients
+    appear, and a second backward through any of its nodes raises
+    GraphError.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -727,6 +737,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is None and not node.trainable:
+            raise GraphError(f"backward through a released {node.op!r} node: "
+                             "an earlier backward consumed this graph")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._inputs:
@@ -736,13 +749,15 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {
         id(loss): np.ones_like(loss.data)
     }
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        vjp, inputs = node._vjp, node._inputs
+        node._vjp, node._inputs = None, ()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is not None:
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._inputs, parent_grads):
+        if vjp is not None:
+            for parent, pg in zip(inputs, vjp(g)):
                 if not parent.requires_grad or pg is None:
                     continue
                 pg = pg.astype(parent.data.dtype, copy=False)

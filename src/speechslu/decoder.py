@@ -25,7 +25,7 @@ from . import autograd as ag
 from .config import DecoderConfig, LoraConfig
 from .encoder import TransformerBlock
 from .errors import NonFiniteInput, ShapeMismatch
-from .initutil import normal_param, ones_param, sinusoid_table, zeros_param
+from .initutil import PositionTable, normal_param, ones_param, zeros_param
 from .tokenizer import Vocabulary
 
 
@@ -134,7 +134,7 @@ class InstructionDecoder:
         self.ln_f_b = zeros_param((d,), False, "decoder.ln_f.b")
         self.w_out = normal_param(rng, (d, vocab.size), cfg.head_std, False,
                                   "decoder.w_out")
-        self.pe = sinusoid_table(cfg.max_positions, d) * np.float32(cfg.pe_scale)
+        self.pe = PositionTable(d, cfg.pe_scale)
         self.lora_cfg: LoraConfig | None = None
 
     # -- LoRA ---------------------------------------------------------------
@@ -189,7 +189,7 @@ class InstructionDecoder:
         x = ag.embedding_kernel(self.tok_emb.data, seq.ids)
         if want is not None:
             x[seq.splice_start:seq.splice_start + want] = speech
-        x += self.pe[:t]
+        x += self.pe.rows(t)
         return x
 
     def embed(self, seq: MultimodalSequence, speech: ag.Tensor | None) -> ag.Tensor:
@@ -222,15 +222,16 @@ class InstructionDecoder:
         if max_new < 1:
             raise ValueError("max_new must be >= 1")
         stop_id = self.vocab.special_id("end_turn")
+        # one row per prompt position and per generated token, at most
+        # max_positions: positional rows and key/value buffers alike
+        rows = min(self.cfg.max_positions, len(seq.ids) + max_new)
+        pe = self.pe.rows(rows)
         x = self.embed_rows(seq, speech)
         t, d = x.shape
         if prior is None:
             weights, shared = [layer.weights() for layer in self.layers], 0
         else:
             weights, shared = prior.weights, prior.shared_rows(seq, speech)
-        # one row per prompt position and per generated token, capped at the
-        # position table
-        rows = min(self.cfg.max_positions, t + max_new)
         caches = []
         for i in range(len(self.layers)):
             k_buf, v_buf = np.empty((rows, d), x.dtype), np.empty((rows, d), x.dtype)
@@ -251,7 +252,7 @@ class InstructionDecoder:
             if len(out_ids) == max_new or pos >= self.cfg.max_positions:
                 truncated = True
                 break
-            h = self.tok_emb.data[nxt] + self.pe[pos]
+            h = self.tok_emb.data[nxt] + pe[pos]
             for layer, w, cache in zip(self.layers, weights, caches):
                 h = layer.step(h, w, cache, pos)
             logits = self._head(h)

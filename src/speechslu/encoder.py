@@ -18,7 +18,7 @@ from . import autograd as ag
 from .audio import MelSpectrogram
 from .config import EncoderConfig
 from .errors import ShapeMismatch
-from .initutil import normal_param, ones_param, sinusoid_table, zeros_param
+from .initutil import PositionTable, normal_param, ones_param, zeros_param
 
 
 class TransformerBlock:
@@ -142,7 +142,7 @@ class SpeechEncoder:
         ]
         self.ln_f_g = ones_param((d,), False, "encoder.ln_f.g")
         self.ln_f_b = zeros_param((d,), False, "encoder.ln_f.b")
-        self._pe_cache: np.ndarray | None = None
+        self.pe = PositionTable(d)
 
     def encode(self, mel: MelSpectrogram) -> ag.Tensor:
         """[n_mels, T_mel] -> [T_mel / 2, d_enc] (frozen, no gradients)."""
@@ -156,9 +156,7 @@ class SpeechEncoder:
         h = ag.gelu(ag.conv1d(x, self.conv1_w, self.conv1_b, stride=self.stride1, padding=1))
         h = ag.gelu(ag.conv1d(h, self.conv2_w, self.conv2_b, stride=self.stride2, padding=1))
         t_enc = h.data.shape[1]
-        if self._pe_cache is None or self._pe_cache.shape[0] < t_enc:
-            self._pe_cache = sinusoid_table(max(t_enc, 1500), self.cfg.d_enc)
-        x = h.data.T + self._pe_cache[:t_enc]  # -> [T_enc, d]
+        x = h.data.T + self.pe.rows(t_enc)  # -> [T_enc, d]
         for block in self.blocks:
             x = block(x)
         return ag.Tensor(ag.layer_norm_kernel(x, self.ln_f_g.data, self.ln_f_b.data))

@@ -170,10 +170,12 @@ def train(records: list[ManifestRecord], model: SluModel, epochs: int | None = N
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(step, record.id)
                 n_tok = int(seq.loss_mask[1:].sum())
-                total_nll += float(loss.data)
-                total_tokens += n_tok
+                nll = float(loss.data)
                 ag.backward(loss)
-                rows.append((record, example, float(loss.data) / max(1, n_tok), n_tok))
+                del speech, logits, loss  # this example's graph ends before the next's
+                total_nll += nll
+                total_tokens += n_tok
+                rows.append((record, example, nll / max(1, n_tok), n_tok))
             scale = 1.0 / max(1, total_tokens)
             for p in trainable:
                 if p.grad is not None:

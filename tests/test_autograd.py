@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +157,39 @@ def test_cross_entropy_ignored_positions_contribute_nothing(rng):
     assert float(loss.data) == pytest.approx(float(ref.data))
 
 
+def all_rows_cross_entropy(logits, targets, keep, reduction):
+    """Cross entropy over every row with the mask applied afterwards: the
+    reference whose loss and gradient bytes the kept-rows op must give."""
+    t = logits.shape[0]
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    nll = np.log(e.sum(axis=-1)) + m[:, 0] - logits[np.arange(t), targets]
+    denom = max(1, int(keep.sum())) if reduction == "mean" else 1
+    loss = np.asarray((nll * keep).sum() / denom, dtype=logits.dtype)
+    p = e / e.sum(axis=-1, keepdims=True)
+    p[np.arange(t), targets] -= 1.0
+    p *= (keep / denom)[:, None]
+    return loss, p * np.ones_like(loss)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("which", ["all", "none", "some"])
+def test_cross_entropy_matches_the_all_rows_reference_bitwise(rng, dtype, reduction, which):
+    t, vocab = 37, 300
+    logits = (rng.normal(size=(t, vocab)) * 4).astype(dtype)
+    targets = rng.integers(0, vocab, size=t)
+    keep = {"all": np.ones(t, dtype=bool), "none": np.zeros(t, dtype=bool),
+            "some": rng.random(t) < 0.3}[which]
+    loss = ag.cross_entropy(ag.Tensor(logits, trainable=True), targets, keep,
+                            reduction=reduction)
+    (grad,) = loss._vjp(np.ones_like(loss.data))
+    ref_loss, ref_grad = all_rows_cross_entropy(logits, targets, keep, reduction)
+    assert loss.data.dtype == ref_loss.dtype and loss.data.tobytes() == ref_loss.tobytes()
+    # the masked rows' -0.0 at their targets included
+    assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward contracts
 # ---------------------------------------------------------------------------
@@ -198,6 +232,32 @@ def test_backward_diamond_graph_visits_once(rng):
     y = ag.add(ag.mul(x, x), x)         # x used by two consumers
     ag.backward(ag.tsum(y))
     np.testing.assert_allclose(x.grad, 2 * x.data + 1, atol=1e-12)
+
+
+def test_backward_releases_saved_activations_as_it_goes(rng):
+    w = t64(rng.normal(size=(3, 4)), name="w")
+    h = ag.gelu(ag.matmul(t64(rng.normal(size=(5, 3)), trainable=False), w))
+    freed = weakref.ref(h.data)
+    loss = ag.tsum(ag.mul(h, h))
+    del h
+    assert freed() is not None  # the graph under loss holds it
+    ag.backward(loss)
+    assert freed() is None and w.grad is not None
+    assert loss._vjp is None and loss._inputs == ()
+
+
+def test_backward_through_a_consumed_graph_raises(rng):
+    w = t64(rng.normal(size=(3, 2)), name="w")
+    h = ag.matmul(t64(rng.normal(size=(4, 3)), trainable=False), w)
+    loss = ag.tsum(h)
+    ag.backward(loss)
+    first = w.grad.copy()
+    with pytest.raises(GraphError, match="consumed"):
+        ag.backward(loss)
+    # a new loss over a released node fails too, before any gradient moves
+    with pytest.raises(GraphError, match="consumed"):
+        ag.backward(ag.tsum(ag.mul(h, h)))
+    assert w.grad.tobytes() == first.tobytes()
 
 
 # ---------------------------------------------------------------------------

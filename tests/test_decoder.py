@@ -9,6 +9,7 @@ from speechslu.config import DecoderConfig, LoraConfig
 from speechslu.decoder import (InstructionDecoder, LoraLinear, MultimodalSequence,
                                expand_splice)
 from speechslu.errors import NonFiniteInput, ShapeMismatch
+from speechslu.initutil import PositionTable, sinusoid_table
 from speechslu.optim import AdamWState, adamw_step
 from speechslu.tokenizer import build_vocabulary
 
@@ -224,6 +225,46 @@ def test_generation_rejects_prompt_beyond_position_table():
     # a prompt that fills the table still yields one (truncated) token
     out = dec.generate_greedy(MultimodalSequence(ids[:8]), None, max_new=4)
     assert len(out.ids) == 1 and out.truncated
+
+
+# each request past the rows built rebuilds the table to exactly its rows
+GROWTH = (1, 2, 7, 16, 255, 256, 257, 375, 448, 724, 1112, 1500, 1501, 3000, 4095, 4096)
+
+
+@pytest.mark.parametrize("dim, scale", [(64, 0.1), (64, 1.0), (24, 0.1), (7, 0.1)])
+def test_position_rows_built_on_demand_match_the_full_table_bitwise(dim, scale):
+    full = sinusoid_table(4096, dim) * np.float32(scale)
+    table = PositionTable(dim, scale)
+    for n in GROWTH:
+        assert table.rows(n).tobytes() == full[:n].tobytes()
+        assert table._table.shape == (n, dim)
+        built = table._table
+        assert table.rows(n // 2).tobytes() == full[:n // 2].tobytes()
+        assert table._table is built  # fewer rows build nothing
+
+
+def test_an_odd_width_table_interleaves_sin_and_cos():
+    pos, i = np.arange(5.0)[:, None], np.arange(4.0)[None, :]
+    angle = pos / np.power(10000.0, 2.0 * i / 7)
+    table = sinusoid_table(5, 7)
+    assert table[:, 0::2].tobytes() == np.sin(angle).astype(np.float32).tobytes()
+    assert table[:, 1::2].tobytes() == np.cos(angle[:, :3]).astype(np.float32).tobytes()
+
+
+def test_generation_builds_its_position_rows_once_per_call(monkeypatch):
+    import speechslu.initutil as initutil
+
+    built = []
+    monkeypatch.setattr(initutil, "sinusoid_table",
+                        lambda n, dim: built.append(n) or sinusoid_table(n, dim))
+    dec, vocab = make_decoder(seed=21)
+    assert built == []  # nothing at construction
+    _rig_constant_output(dec, vocab.word_offset)  # never emits end-of-turn
+    seq = seq_of(vocab, "hello")
+    out = dec.generate_greedy(seq, None, max_new=9)
+    assert len(out.ids) == 9 and built == [len(seq.ids) + 9]
+    dec.generate_greedy(seq, None, max_new=4)
+    assert built == [len(seq.ids) + 9]
 
 
 @pytest.mark.parametrize("bad_id", ["-1", "vocab.size"])

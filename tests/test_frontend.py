@@ -9,7 +9,7 @@ from scipy.io import wavfile
 
 from speechslu import autograd as ag
 from speechslu.audio import (HOP_SECONDS, LOG_FLOOR, WINDOW_SECONDS, MelSpectrogram,
-                             load_mel, load_wav, log_mel, mel_filterbank,
+                             frame_blocks, load_mel, load_wav, log_mel, mel_filterbank,
                              resolve_audio, save_mel, synthesize_mel)
 from speechslu.aligner import ModalityAligner
 from speechslu.config import AlignerConfig, EncoderConfig
@@ -228,6 +228,26 @@ def test_log_mel_tiny_inputs_match_the_whole_clip_bitwise(n, clip):
     got = log_mel(wav, SR, clip_seconds=clip).frames
     ref = whole_clip_log_mel(wav, SR, clip_seconds=clip)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000])
+def test_frame_blocks_give_the_whole_float64_mel_product(sample_rate):
+    # the float32 log rounds away most one-ulp float64 differences, so the split
+    # is checked on the mel product itself: each block's product (a C-ordered
+    # spectrum times the F-ordered filterbank, as in log_mel) must equal the
+    # whole product's rows. 256-frame blocks with a lone last frame folded into
+    # the block before leave last blocks of 2-15 frames at 258-271 frames,
+    # whose products differ.
+    win = int(round(WINDOW_SECONDS * sample_rate))
+    fb_t = mel_filterbank(80, win, sample_rate).T.astype(np.float64)
+    spec = np.random.default_rng(sample_rate).random((3009, win // 2 + 1)) ** 2
+    for t in [*range(1, 601), *range(2990, 3010)]:
+        blocks = frame_blocks(t)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == t and max(b - a for a, b in blocks) <= 256
+        whole = spec[:t] @ fb_t
+        for t0, t1 in blocks:
+            assert (spec[t0:t1] @ fb_t).tobytes() == whole[t0:t1].tobytes(), (t, t0, t1)
 
 
 def _traced_peak_mib(fn) -> float:

@@ -2,6 +2,8 @@
 epoch semantics, and determinism."""
 
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -426,6 +428,70 @@ def test_trace_records_step_time(micro_corpus):
         assert len(times) == 1 and next(iter(times)) > 0
     # the CSV carries every field but the step time: seven columns
     assert [row.csv().count(",") for row in result.trace] == [6] * len(result.trace)
+
+
+def test_train_frees_each_example_graph_before_the_next_forward(micro_corpus):
+    records = micro_corpus["IC"][:3] + micro_corpus["SF"][:2]
+    model = build_tiny_model(records, seed=8, batch_size=2)
+    decoder, layer = model.decoder, model.decoder.layers[0]
+    forward, block_forward = decoder.forward, layer.causal_forward
+    refs, alive_at_forward = [], []
+
+    def watched_forward(seq, speech):
+        # within a step and across steps, the last example's arrays are gone
+        alive_at_forward.append(sum(r() is not None for r in refs))
+        refs.clear()
+        refs.append(weakref.ref(speech.data))
+        logits = forward(seq, speech)
+        refs.append(weakref.ref(logits.data))
+        return logits
+
+    def watched_block(x):
+        out = block_forward(x)
+        refs.append(weakref.ref(out.data))  # an intermediate activation
+        return out
+
+    decoder.forward, layer.causal_forward = watched_forward, watched_block
+    result = train(records, model, epochs=2)
+    assert len(alive_at_forward) == len(result.trace) == 10
+    assert alive_at_forward == [0] * 10
+
+
+def test_paper_scale_step_peak_memory(flat_records):
+    # one aligner + decoder forward/backward under the default config on a 30 s
+    # clip's encoder output ([1500, 64] -> 375 speech rows; an MR sequence of
+    # 448 positions, vocabulary 732). Measured: a peak of 13.9 MiB, 1.5 MiB
+    # held once backward returns (logits, speech and the new gradients). With
+    # the graph kept until the loss is dropped and a softmax over every row,
+    # 16.5 and 12.8 MiB.
+    from speechslu.config import RunConfig
+    from speechslu.experiments import build_micro_model
+
+    model = build_micro_model(flat_records, RunConfig())
+    record = next(r for r in flat_records if r.task == "SF")
+    enc = ag.Tensor(np.random.default_rng(0).normal(size=(1500, 64)).astype(np.float32))
+    inventories = collect_inventories(flat_records)
+
+    def step():
+        speech = model.aligner.align(enc)
+        seq = build_training_sequence(record, "mr", model, inventories,
+                                      np.random.default_rng(1), 375).sequence
+        logits = model.decoder.forward(seq, speech)
+        loss = ag.cross_entropy(ag.slice_rows(logits, 0, len(seq.ids) - 1), seq.ids[1:],
+                                ignore_mask=seq.loss_mask[1:], reduction="sum")
+        ag.backward(loss)
+        return tracemalloc.get_traced_memory()
+
+    step()  # build the position rows and lazily loaded tables
+    for p in model.trainable_parameters().values():
+        p.grad = None
+    tracemalloc.start()
+    try:
+        held, peak = step()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 15.0
+    assert held / 2**20 < 2.5
 
 
 def test_two_runs_same_seed_bitwise_identical_weights(micro_corpus):
